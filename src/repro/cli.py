@@ -336,7 +336,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"coalescing {config.max_batch}/{args.max_delay_ms:g}ms)",
             file=sys.stderr,
         )
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         stopping: "asyncio.Future[None]" = loop.create_future()
 
         def _on_signal() -> None:

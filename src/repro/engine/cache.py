@@ -92,8 +92,10 @@ class ResultCache:
         # multiple executor threads; bare += would drop counts
         self._lock = threading.Lock()
 
-    def path_for(self, job: SweepJob) -> str:
-        return entry_path(self.root, job_cache_key(job))
+    def path_for(self, job: SweepJob, key: Optional[str] = None) -> str:
+        """On-disk path of ``job``'s entry; ``key`` is its
+        :func:`job_cache_key`, hashed here when the caller has none."""
+        return entry_path(self.root, job_cache_key(job) if key is None else key)
 
     def get_by_key(self, key: str) -> Optional[SimulationResult]:
         """:func:`get_by_key` against this cache's root, with counters."""
@@ -105,15 +107,17 @@ class ResultCache:
                 self.hits += 1
         return result
 
-    def get(self, job: SweepJob) -> Optional[SimulationResult]:
+    def get(
+        self, job: SweepJob, key: Optional[str] = None
+    ) -> Optional[SimulationResult]:
         """Return the cached result for ``job``, or ``None`` on a miss.
 
         A history-recording job only hits on an entry that carries a
         history, so ``record_history=True`` sweeps never get silently
         downgraded results (the key covers ``record_history``, making
-        this automatic).
+        this automatic).  ``key`` is as in :meth:`path_for`.
         """
-        path = self.path_for(job)
+        path = self.path_for(job, key)
         try:
             results = persistence.load_result_objects(path)
         except (OSError, ValueError, KeyError, EOFError):
@@ -129,10 +133,13 @@ class ResultCache:
             self.hits += 1
         return results[0]
 
-    def put(self, job: SweepJob, result: SimulationResult) -> Optional[str]:
+    def put(
+        self, job: SweepJob, result: SimulationResult, key: Optional[str] = None
+    ) -> Optional[str]:
         """Store ``result`` under ``job``'s key; returns the path or
-        ``None`` if the write failed (caching is best-effort)."""
-        path = self.path_for(job)
+        ``None`` if the write failed (caching is best-effort).  ``key`` is
+        as in :meth:`path_for`."""
+        path = self.path_for(job, key)
         try:
             persistence.save_results(
                 path, [result], include_history=job.record_history

@@ -49,6 +49,7 @@ from typing import (
     TypeVar,
 )
 
+from repro.engine import cache as result_cache
 from repro.engine import telemetry as tm
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import SweepJob, run_job
@@ -318,10 +319,16 @@ class SweepEngine:
             simcores=sorted({resolve_core(job.simcore) for job in jobs}),
         )
         outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
+        # each job's cache key, hashed once here for both the get below
+        # and the put after the job runs (None without a cache)
+        keys: List[Optional[str]] = [None] * len(jobs)
 
         pending: List[int] = []
         for index, job in enumerate(jobs):
-            cached = self.cache.get(job) if self.cache else None
+            cached: Optional[SimulationResult] = None
+            if self.cache:
+                keys[index] = result_cache.job_cache_key(job)
+                cached = self.cache.get(job, keys[index])
             if cached is not None:
                 outcomes[index] = JobOutcome(
                     job=job, result=cached, from_cache=True
@@ -351,9 +358,9 @@ class SweepEngine:
 
         if pending:
             if self.config.workers > 1 and len(pending) > 1:
-                self._run_pooled(jobs, pending, outcomes)
+                self._run_pooled(jobs, pending, outcomes, keys)
             else:
-                self._run_serial(jobs, pending, outcomes)
+                self._run_serial(jobs, pending, outcomes, keys)
 
         self.telemetry.emit(tm.SWEEP_FINISHED, **self.telemetry.summary())
         if self._sweep_span is not None:
@@ -414,12 +421,13 @@ class SweepEngine:
         attempts: int,
         wall_s: float,
         outcomes: List[Optional[JobOutcome]],
+        key: Optional[str],
     ) -> None:
         outcomes[index] = JobOutcome(
             job=job, result=result, attempts=attempts, wall_s=wall_s
         )
         if self.cache is not None:
-            self.cache.put(job, result)
+            self.cache.put(job, result, key)
         condensed = tm.condense_probe_summary(
             getattr(result, "probe_summary", None)
         )
@@ -468,6 +476,7 @@ class SweepEngine:
         jobs: Sequence[SweepJob],
         indices: Sequence[int],
         outcomes: List[Optional[JobOutcome]],
+        keys: Sequence[Optional[str]],
     ) -> None:
         for index in indices:
             job = jobs[index]
@@ -507,7 +516,7 @@ class SweepEngine:
                 self._record_worker_span(span)
                 self._record_success(
                     index, job, result, attempts,
-                    time.monotonic() - started, outcomes,
+                    time.monotonic() - started, outcomes, keys[index],
                 )
                 break
 
@@ -538,6 +547,7 @@ class SweepEngine:
         jobs: Sequence[SweepJob],
         indices: Sequence[int],
         outcomes: List[Optional[JobOutcome]],
+        keys: Sequence[Optional[str]],
     ) -> None:
         workers = min(self.config.workers, len(indices))
         try:
@@ -550,7 +560,7 @@ class SweepEngine:
                 error=f"{type(exc).__name__}: {exc}",
                 fallback="serial",
             )
-            self._run_serial(jobs, indices, outcomes)
+            self._run_serial(jobs, indices, outcomes, keys)
             return
 
         attempts: Dict[int, int] = {index: 0 for index in indices}
@@ -622,7 +632,7 @@ class SweepEngine:
                         self._record_worker_span(span)
                         self._record_success(
                             index, job, result,
-                            attempts[index], wall_s, outcomes,
+                            attempts[index], wall_s, outcomes, keys[index],
                         )
                     if self._shutdown.is_set():
                         self._cancel_queued(jobs, futures, attempts, outcomes)
@@ -638,7 +648,7 @@ class SweepEngine:
                 fallback="serial",
                 remaining_jobs=len(remaining),
             )
-            self._run_serial(jobs, remaining, outcomes)
+            self._run_serial(jobs, remaining, outcomes, keys)
 
 
 def run_sweep(

@@ -9,7 +9,11 @@ saturating counters.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from types import MappingProxyType
+from typing import List, Mapping, Optional, Tuple
+
+#: what a BTB set reads as until its first insert allocates its table
+_UNTOUCHED: Mapping[int, int] = MappingProxyType({})
 
 
 def _saturate(counter: int, taken: bool) -> int:
@@ -64,12 +68,17 @@ class _TwoLevel:
 
 
 class _BTB:
-    """Set-associative branch target buffer with LRU replacement."""
+    """Set-associative branch target buffer with LRU replacement.
+
+    A set gets its own ``OrderedDict`` on its first insert; until then it
+    reads as an empty mapping, so building a predictor allocates one list
+    rather than thousands of tables a short run never touches.
+    """
 
     def __init__(self, sets: int, ways: int) -> None:
         self.sets = sets
         self.ways = ways
-        self._tables: List[OrderedDict] = [OrderedDict() for _ in range(sets)]
+        self._tables: List[Mapping[int, int]] = [_UNTOUCHED] * sets
 
     def _index(self, pc: int) -> int:
         return (pc >> 2) % self.sets
@@ -82,7 +91,10 @@ class _BTB:
         return target
 
     def insert(self, pc: int, target: int) -> None:
-        table = self._tables[self._index(pc)]
+        index = self._index(pc)
+        table = self._tables[index]
+        if table is _UNTOUCHED:
+            self._tables[index] = table = OrderedDict()
         table[pc] = target
         table.move_to_end(pc)
         if len(table) > self.ways:

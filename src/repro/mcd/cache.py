@@ -11,14 +11,20 @@ service-rate model (Section 4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
+
+#: what a set reads as until its first miss allocates its list
+_UNTOUCHED: Sequence[int] = ()
 
 
 class Cache:
     """A set-associative cache with LRU replacement.
 
     Only tags are modelled (no data), which is all that hit/miss behaviour
-    needs.  ``assoc=1`` gives a direct-mapped cache.
+    needs.  ``assoc=1`` gives a direct-mapped cache.  A set gets its own
+    list on its first miss; until then it reads as an empty sequence, so a
+    short run does not pay for (or garbage-collect) thousands of empty
+    lists it never touches.
     """
 
     def __init__(self, name: str, size_bytes: int, assoc: int, line_size: int) -> None:
@@ -32,7 +38,7 @@ class Cache:
         self.line_size = line_size
         self.n_sets = size_bytes // (assoc * line_size)
         # each set is an LRU-ordered list of tags (most recent last)
-        self._sets: List[List[int]] = [[] for _ in range(self.n_sets)]
+        self._sets: List[Sequence[int]] = [_UNTOUCHED] * self.n_sets
         self.hits = 0
         self.misses = 0
 
@@ -52,6 +58,9 @@ class Cache:
             self.hits += 1
             return True
         self.misses += 1
+        if ways is _UNTOUCHED:
+            self._sets[index] = [tag]
+            return False
         ways.append(tag)
         if len(ways) > self.assoc:
             ways.pop(0)

@@ -202,7 +202,7 @@ class ServeApp:
             self._results.popitem(last=False)
 
     def _spawn(self, coro: "Any") -> None:
-        task = asyncio.get_event_loop().create_task(coro)
+        task = asyncio.get_running_loop().create_task(coro)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
@@ -231,7 +231,7 @@ class ServeApp:
             port=self.config.port,
         )
         if self.config.metrics_window_s > 0:
-            self._window_task = asyncio.get_event_loop().create_task(
+            self._window_task = asyncio.get_running_loop().create_task(
                 self._sample_windows()
             )
         return server_address(self._server)
@@ -459,7 +459,7 @@ class ServeApp:
         them, rather than a post-hoc replay.
         """
         self.store.set_state(record, JobState.RUNNING)
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         bridge = EventBridge(
             loop, lambda stream, payload: self.store.publish(
                 record, stream, payload
@@ -572,7 +572,7 @@ class ServeApp:
         self, record: Job, jobs: List[SweepJob], root: Span
     ) -> None:
         self.store.set_state(record, JobState.RUNNING)
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         bridge = EventBridge(
             loop, lambda stream, payload: self.store.publish(
                 record, stream, payload
@@ -669,7 +669,7 @@ class ServeApp:
         result = self._results.get(sha)
         if result is None and self.cache is not None:
             # the cache read decompresses a result file; keep it off the loop
-            loop = asyncio.get_event_loop()
+            loop = asyncio.get_running_loop()
             result = await loop.run_in_executor(
                 self.executor, self.cache.get_by_key, sha
             )

@@ -146,7 +146,7 @@ class RequestCoalescer:
 
     async def submit(self, job: "SweepJob") -> "SimulationResult":
         """Queue ``job`` for the next batch tick; await its result."""
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._pending.append((job, future))
         self.submitted += 1
@@ -178,7 +178,7 @@ class RequestCoalescer:
         if not self._pending and self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        task = asyncio.get_event_loop().create_task(self._run_flush(batch))
+        task = asyncio.get_running_loop().create_task(self._run_flush(batch))
         self._inflight.append(task)
         task.add_done_callback(self._inflight.remove)
 
@@ -207,7 +207,7 @@ class RequestCoalescer:
                 "coalescer.flush",
                 attrs={"requests": len(batch), "groups": len(groups)},
             )
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         for entries in groups.values():
             group_span = None
             if flush_span is not None:

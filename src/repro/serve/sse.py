@@ -102,7 +102,7 @@ class DropOldestQueue:
                 return self._items.popleft()
             if self._closed:
                 return None
-            loop = asyncio.get_event_loop()
+            loop = asyncio.get_running_loop()
             self._wakeup = loop.create_future()
             try:
                 await self._wakeup

@@ -27,9 +27,10 @@ purely from how the same arithmetic is dispatched, never from changing it:
 
 The bit-identical contract imposes hard rules on every edit here: float
 expressions must keep the reference's operand order and association
-(``(leak + gated) * dt`` is not ``leak*dt + gated*dt``); ``rng.gauss`` call
-count and order per clock must match (gauss caches a second variate); and
-heap pushes must happen in the reference's order so sequence numbers -- the
+(``(leak + gated) * dt`` is not ``leak*dt + gated*dt``); the inlined
+``Random.gauss`` must keep the reference's draw count and order per clock
+and hand its cached second variate (``gauss_next``) back to the clock's rng;
+and heap pushes must happen in the reference's order so sequence numbers -- the
 tie-breakers for same-time events -- are identical.  Golden-equivalence
 tests in ``tests/simcore/`` enforce the contract for every controller style.
 """
@@ -37,7 +38,7 @@ tests in ``tests/simcore/`` enforce the contract for every controller style.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from math import ceil
+from math import ceil, cos, log, pi, sin, sqrt
 from time import perf_counter
 from typing import Optional
 
@@ -60,11 +61,26 @@ from repro.simcore.wheel import EventWheel
 from repro.workloads.instructions import InstructionKind as K
 
 _INF = float("inf")
+#: ``random.TWOPI``, the constant ``Random.gauss`` scales its first draw by
+_TWOPI = 2.0 * pi
 
 #: kinds served by the muldiv pool (mirrors ExecutionDomain._pool_for)
 _MULDIV_KINDS = frozenset({K.INT_MUL, K.INT_DIV, K.FP_MUL, K.FP_DIV, K.FP_SQRT})
 #: kinds whose FU accepts a new op every cycle (mirrors execcore._PIPELINED)
 _PIPELINED = frozenset({K.INT_ALU, K.BRANCH, K.FP_ADD, K.FP_MUL, K.INT_MUL})
+#: per kind, one row of the trace-parallel arrays: (latency cycles, busy
+#: cycles, domain edge tag, muldiv?, store?, branch?)
+_KIND_ROWS = {
+    kind: (
+        FU_LATENCY_CYCLES[kind],
+        1 if kind in _PIPELINED else FU_LATENCY_CYCLES[kind],
+        _EDGE_TAG[execution_domain(kind)],
+        1 if kind in _MULDIV_KINDS else 0,
+        1 if kind is K.STORE else 0,
+        1 if kind is K.BRANCH else 0,
+    )
+    for kind in K
+}
 
 
 class FastMCDProcessor(MCDProcessor):
@@ -93,15 +109,12 @@ class FastMCDProcessor(MCDProcessor):
         muldiv = bytearray(n)
         is_store = bytearray(n)
         is_branch = bytearray(n)
+        rows = _KIND_ROWS
         for inst in trace:
             i = inst.index
-            kind = inst.kind
-            lat[i] = FU_LATENCY_CYCLES[kind]
-            busy[i] = 1 if kind in _PIPELINED else lat[i]
-            tags[i] = _EDGE_TAG[execution_domain(kind)]
-            muldiv[i] = 1 if kind in _MULDIV_KINDS else 0
-            is_store[i] = 1 if kind is K.STORE else 0
-            is_branch[i] = 1 if kind is K.BRANCH else 0
+            lat[i], busy[i], tags[i], muldiv[i], is_store[i], is_branch[i] = rows[
+                inst.kind
+            ]
         self._lat_arr = lat
         self._busy_arr = busy
         self._tag_arr = tags
@@ -116,7 +129,7 @@ class FastMCDProcessor(MCDProcessor):
             if self.controllers.get(d) is not None
         ]
         self._slew_rows = [
-            (_EDGE_TAG[d], d, self.regulators[d]) for d in CONTROLLED_DOMAINS
+            (_EDGE_TAG[d], self.regulators[d]) for d in CONTROLLED_DOMAINS
         ]
         self._rec_rows = [
             (
@@ -217,7 +230,10 @@ class FastMCDProcessor(MCDProcessor):
             self.clocks[DomainId.LS],
         ]
         sigma = cfg.jitter_sigma_ns
-        gauss = [c._rng.gauss for c in clocks]
+        # Random.gauss, inlined: each clock's uniform source plus its cached
+        # second variate, written back to the clock's rng at loop end
+        rand = [c._rng.random for c in clocks]
+        gauss_next = [c._rng.gauss_next for c in clocks]
         freqs = [c._freq_ghz for c in clocks]
         periods = [1.0 / f for f in freqs]
         neg04 = [-0.4 * p for p in periods]
@@ -314,8 +330,14 @@ class FastMCDProcessor(MCDProcessor):
         slew_rows = self._slew_rows
         rec_rows = self._rec_rows
         apply_command = self._apply_command
+        # background energy accumulates per tag here, not through the
+        # enum-keyed energy.by_domain (Python-level Enum.__hash__ per add);
+        # it is written back before anything reads by_domain
         bd = self.energy.by_domain
-        d_fe = DomainId.FRONT_END
+        edge_tags = tuple(_EDGE_TAG.items())
+        bg_e = [0.0, 0.0, 0.0, 0.0]
+        for denum, tag in edge_tags:
+            bg_e[tag] = bd[denum]
         d_int = DomainId.INT
         d_fp = DomainId.FP
         d_ls = DomainId.LS
@@ -367,7 +389,15 @@ class FastMCDProcessor(MCDProcessor):
                     per = periods[tag]
                     # ref: clock.advance()
                     if sigma:
-                        j = gauss[tag](0.0, sigma)
+                        z = gauss_next[tag]
+                        if z is None:
+                            x2pi = rand[tag]() * _TWOPI
+                            g2rad = sqrt(-2.0 * log(1.0 - rand[tag]()))
+                            z = cos(x2pi) * g2rad
+                            gauss_next[tag] = sin(x2pi) * g2rad
+                        else:
+                            gauss_next[tag] = None
+                        j = 0.0 + z * sigma
                         lo = neg04[tag]
                         hi = pos04[tag]
                         if j < lo:
@@ -525,7 +555,15 @@ class FastMCDProcessor(MCDProcessor):
                     # ==================================================
                     # ref: clock.advance()
                     if sigma:
-                        j = gauss[0](0.0, sigma)
+                        z = gauss_next[0]
+                        if z is None:
+                            x2pi = rand[0]() * _TWOPI
+                            g2rad = sqrt(-2.0 * log(1.0 - rand[0]()))
+                            z = cos(x2pi) * g2rad
+                            gauss_next[0] = sin(x2pi) * g2rad
+                        else:
+                            gauss_next[0] = None
+                        j = 0.0 + z * sigma
                         lo = neg04[0]
                         hi = pos04[0]
                         if j < lo:
@@ -700,7 +738,15 @@ class FastMCDProcessor(MCDProcessor):
                 # ======================================================
                 per = periods[3]
                 if sigma:
-                    j = gauss[3](0.0, sigma)
+                    z = gauss_next[3]
+                    if z is None:
+                        x2pi = rand[3]() * _TWOPI
+                        g2rad = sqrt(-2.0 * log(1.0 - rand[3]()))
+                        z = cos(x2pi) * g2rad
+                        gauss_next[3] = sin(x2pi) * g2rad
+                    else:
+                        gauss_next[3] = None
+                    j = 0.0 + z * sigma
                     lo = neg04[3]
                     hi = pos04[3]
                     if j < lo:
@@ -897,7 +943,7 @@ class FastMCDProcessor(MCDProcessor):
                     t2 = perf_counter()  # statcheck: disable=DET002 -- profiling only
                     prof_add("observe", t2 - t1)
                 # -- slew -------------------------------------------------
-                for dtag, denum, reg in slew_rows:
+                for dtag, reg in slew_rows:
                     cur = reg._current_ghz
                     tgt = reg._target_ghz
                     if tgt != cur:
@@ -937,7 +983,7 @@ class FastMCDProcessor(MCDProcessor):
                         bg_f[dtag] = cur
                         bg_awake[dtag] = row[0]
                         bg_asleep[dtag] = row[1]
-                    bd[denum] += bg_asleep[dtag] if sleeping[dtag] else bg_awake[dtag]
+                    bg_e[dtag] += bg_asleep[dtag] if sleeping[dtag] else bg_awake[dtag]
                     # ref: _refresh_energy_coefficients (this domain's slice)
                     if v != coeff_v[dtag]:
                         coeff_v[dtag] = v
@@ -950,7 +996,7 @@ class FastMCDProcessor(MCDProcessor):
                         abe[dtag] = row[0]
                         ase[dtag] = row[1]
                         ge[dtag] = row[2]
-                bd[d_fe] += fe_bg_e
+                bg_e[0] += fe_bg_e
                 if prof is not None:
                     t3 = perf_counter()  # statcheck: disable=DET002 -- profiling only
                     prof_add("slew", t3 - t2)
@@ -965,6 +1011,8 @@ class FastMCDProcessor(MCDProcessor):
                     # allocate: it only runs with the observability layer
                     # attached, and _emit_samples expects the reference's
                     # enum-keyed occupancy mapping.
+                    for denum, dtag in edge_tags:
+                        bd[denum] = bg_e[dtag]
                     emit_samples(
                         time_ns,
                         {d_int: occs[1], d_fp: occs[2], d_ls: occs[3]},  # statcheck: disable=PERF001 -- obs-only cold branch; _emit_samples takes the reference's enum-keyed dict
@@ -990,6 +1038,8 @@ class FastMCDProcessor(MCDProcessor):
                     heappush(heap, (next_edge[dtag], dtag, seq, 0))
 
         # --- write locals back into object state ----------------------
+        for denum, tag in edge_tags:
+            bd[denum] = bg_e[tag]
         wheel.seq = seq
         self._seq = seq
         self._now = time_ns
@@ -1006,6 +1056,7 @@ class FastMCDProcessor(MCDProcessor):
             clock = clocks[tag]
             clock._freq_ghz = freqs[tag]
             clock._next_edge_ns = next_edge[tag]
+            clock._rng.gauss_next = gauss_next[tag]
         for domain, tag in ((d_int, 1), (d_fp, 2), (d_ls, 3)):
             self._sleeping[domain] = sleeping[tag]
             self._timer_target[domain] = timer_target[tag]

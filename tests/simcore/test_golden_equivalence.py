@@ -132,6 +132,45 @@ class TestProbeEventStream:
         assert streams["ref"] == streams[_OTHER_CORE]
 
 
+class TestClockRngState:
+    """Each clock's jitter RNG ends a run in the reference's state.
+
+    The fast core inlines ``Random.gauss`` and keeps each clock's cached
+    second variate in a local until the loop ends.  No result field shows
+    whether it was handed back, so compare the generators themselves
+    (``getstate()`` includes ``gauss_next``).
+    """
+
+    @pytest.mark.parametrize(
+        "machine",
+        [None, transmeta_machine_config()],
+        ids=["table1", "transmeta"],
+    )
+    def test_clock_rng_state_matches_reference(self, monkeypatch, machine):
+        import repro.harness.experiment as experiment_module
+
+        built = {}
+        real_create = experiment_module.create_processor
+
+        def spy_create(*args, simcore=None, **kwargs):
+            built[simcore] = real_create(*args, simcore=simcore, **kwargs)
+            return built[simcore]
+
+        monkeypatch.setattr(experiment_module, "create_processor", spy_create)
+        _pair(
+            "gzip",
+            scheme="adaptive",
+            machine=machine,
+            max_instructions=_INSTRUCTIONS,
+            seed=3,
+        )
+        states = {
+            core: {d: clock._rng.getstate() for d, clock in proc.clocks.items()}
+            for core, proc in built.items()
+        }
+        assert states["ref"] == states[_OTHER_CORE]
+
+
 class TestFastCoreDeterminism:
     def test_same_seed_runs_hash_identically(self):
         """Two fast-core runs with the same seed are bit-identical."""
