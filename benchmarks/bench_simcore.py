@@ -1,32 +1,18 @@
-"""Simulator-core throughput: reference loop vs fast path vs SoA batch.
+"""Simulator-core throughput: reference loop vs fast path.
 
 Times ``processor.run()`` for both scalar cores on the same pre-generated
 trace (gzip, 60k instructions, adaptive control) and records
 instructions/sec, samples/sec, and the fast core's per-phase wall-time
-split.  A second section times a 64-seed batch through
-:class:`repro.simcore.soa.BatchSimulator` against the same 64 lanes run
-serially on the reference core, reporting aggregate instructions/sec and
-``batch_speedup_64``.  Trace generation and controller/processor
-construction happen outside the timed regions -- identical work for every
-core and not part of simulator throughput.
-
-Measured reality of the batch section (honest numbers, not the
-aspiration): only the DVFS control plane (observe / FSM / reconcile /
-slew / energy, ~40% of a run) is vectorized across lanes; per-lane
-instruction stepping is still Python, so the aggregate lands near the
-fast core's throughput -- about 1.8x over the reference aggregate on an
-idle box, far short of the 10x the SoA layout would deliver if lane
-stepping were itself array code.  The committed baseline records the
-measured value and the +-25% gate tracks it; the floor assert below only
-catches collapse.
+split.  Trace generation and controller/processor construction happen
+outside the timed regions -- identical work for every core and not part
+of simulator throughput.
 
 Writes ``benchmarks/results/BENCH_simcore.json`` so successive PRs can
 diff the perf trajectory mechanically; the CI perf-regression job compares
 a fresh run of this bench against the committed baseline (the
-``instr_per_s``, ``speedup``, and ``batch_*`` keys are the tracked
-series).  Both sections re-check bit-identity on the measured runs, so a
-speedup bought by divergence fails here before it ever reaches the golden
-suite.
+``instr_per_s`` and ``speedup`` keys are the tracked series).  The bench
+re-checks bit-identity on the measured runs, so a speedup bought by
+divergence fails here before it ever reaches the golden suite.
 """
 
 from __future__ import annotations
@@ -50,11 +36,6 @@ SCHEME = "adaptive"
 SEED = 1
 #: timing repetitions per core; best-of is reported (shared CI boxes)
 ROUNDS = 3
-
-#: batch section: one vectorized batch of this many seeds...
-BATCH_SEEDS = 64
-#: ...at this window per lane (64 x 6k keeps the ref serial leg ~30 s)
-BATCH_INSTRUCTIONS = 6_000
 
 
 def _timed_run(trace, core):
@@ -168,113 +149,3 @@ def test_simcore_throughput(benchmark):
     # staying robust to noisy shared CI runners -- the +-25% gate against
     # the baseline is the actual tracking mechanism
     assert speedup >= 1.5, f"fast core speedup collapsed: {speedup:.2f}x"
-
-
-def _batch_lanes(traces, core):
-    """One processor per seed, built outside the timed region."""
-    return [
-        create_processor(
-            trace=traces[seed],
-            controllers=build_controllers(SCHEME),
-            seed=seed,
-            record_history=False,
-            benchmark=BENCHMARK,
-            scheme=SCHEME,
-            simcore=core,
-        )
-        for seed in sorted(traces)
-    ]
-
-
-def _measure_batch():
-    from repro.simcore.soa import BatchSimulator
-
-    spec = get_benchmark(BENCHMARK)
-    seeds = list(range(1, BATCH_SEEDS + 1))
-    traces = {
-        seed: generate_trace(
-            spec, max_instructions=BATCH_INSTRUCTIONS, seed=seed
-        )
-        for seed in seeds
-    }
-
-    lanes = _batch_lanes(traces, "batch")
-    started = time.perf_counter()
-    batch_results = BatchSimulator(lanes).run()
-    batch_wall = time.perf_counter() - started
-
-    ref_lanes = _batch_lanes(traces, "ref")
-    started = time.perf_counter()
-    ref_results = [lane.run() for lane in ref_lanes]
-    ref_wall = time.perf_counter() - started
-
-    return batch_results, ref_results, batch_wall, ref_wall
-
-
-def test_batch_throughput(benchmark):
-    batch_results, ref_results, batch_wall, ref_wall = run_once(
-        benchmark, _measure_batch
-    )
-
-    identical = all(
-        results_identical(ref, got)
-        for ref, got in zip(ref_results, batch_results)
-    )
-    aggregate = BATCH_SEEDS * BATCH_INSTRUCTIONS
-    speedup = ref_wall / batch_wall
-
-    json_path = os.path.join(RESULTS_DIR, "BENCH_simcore.json")
-    try:
-        with open(json_path) as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        payload = {}  # standalone invocation: batch section only
-    payload.update(
-        {
-            "batch_seeds": BATCH_SEEDS,
-            "batch_instructions_per_lane": BATCH_INSTRUCTIONS,
-            "batch_aggregate_instructions": aggregate,
-            "batch_cores": {
-                "batch": {
-                    "wall_s": batch_wall,
-                    "instr_per_s": aggregate / batch_wall,
-                },
-                "ref": {
-                    "wall_s": ref_wall,
-                    "instr_per_s": aggregate / ref_wall,
-                },
-            },
-            "batch_speedup_64": speedup,
-            "batch_identical": identical,
-        }
-    )
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(json_path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-
-    rows = [
-        [
-            core,
-            f"{wall:.3f} s",
-            f"{aggregate / wall:,.0f}",
-        ]
-        for core, wall in (("ref (serial)", ref_wall), ("batch", batch_wall))
-    ]
-    rows.append([f"batch_speedup_{BATCH_SEEDS}", f"{speedup:.2f}x", ""])
-    table = format_table(
-        ["core", "wall", "aggregate instructions/s"],
-        rows,
-        title=(
-            f"Batch-core aggregate throughput ({BENCHMARK}, "
-            f"{BATCH_SEEDS} seeds x {BATCH_INSTRUCTIONS:,} instructions, "
-            f"{SCHEME})"
-        ),
-    )
-    emit("simcore_batch_throughput", table + f"\n[json written to {json_path}]")
-
-    assert identical, "batch lanes diverged from the reference on the bench"
-    # measured honestly at ~1.8x (see module docstring): the control plane
-    # vectorizes, the Python lane stepper does not, and Amdahl holds.  The
-    # floor exists to catch collapse (e.g. every lane silently degrading
-    # to a 1-lane group); the +-25% baseline gate tracks the real value.
-    assert speedup >= 1.2, f"batch aggregate speedup collapsed: {speedup:.2f}x"

@@ -35,8 +35,6 @@ TRACKED = {
         ("cores.ref.instr_per_s", "higher"),
         ("cores.fast.instr_per_s", "higher"),
         ("speedup", "higher"),
-        ("batch_cores.batch.instr_per_s", "higher"),
-        ("batch_speedup_64", "higher"),
     ],
     "BENCH_obs.json": [
         ("samples_per_s.disabled", "higher"),

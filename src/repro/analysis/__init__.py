@@ -26,32 +26,19 @@ from repro.analysis.stability import (
     delay_ratio_bounds,
     recommended_delay_ratio_range,
 )
-# The numerical submodules (ODE simulation, mu-f estimation, the discrete
-# sampled-loop model) need numpy; the closed-form model/linearization/
-# stability layers above do not.  Guard the re-exports so a numpy-free
-# install (CI's no-numpy leg) can still use the closed-form layers -- the
-# gated names then simply do not exist, and importing them from their
-# defining submodules raises the real ImportError.
-try:
-    from repro.analysis.ode import (
-        StepResponse,
-        simulate_linear_step,
-        simulate_nonlinear,
-    )
-    from repro.analysis.estimation import (
-        MuFEstimate,
-        OnlineMuFEstimator,
-        fit_mu_f,
-        estimate_from_history,
-        offline_characterization,
-    )
-    from repro.analysis.discrete import (
-        DiscreteClosedLoop,
-        from_continuous,
-        max_stable_km,
-    )
-except ImportError:  # pragma: no cover -- exercised by the no-numpy CI leg
-    pass
+from repro.analysis.ode import StepResponse, simulate_linear_step, simulate_nonlinear
+from repro.analysis.estimation import (
+    MuFEstimate,
+    OnlineMuFEstimator,
+    fit_mu_f,
+    estimate_from_history,
+    offline_characterization,
+)
+from repro.analysis.discrete import (
+    DiscreteClosedLoop,
+    from_continuous,
+    max_stable_km,
+)
 
 __all__ = [
     "MuFEstimate",

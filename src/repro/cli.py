@@ -35,6 +35,7 @@ from repro.harness.experiment import SCHEMES, run_experiment
 from repro.harness.persistence import result_to_dict
 from repro.harness.reporting import format_table
 from repro.mcd.domains import DomainId
+from repro.simcore import CORES
 from repro.workloads.suite import BENCHMARKS
 
 
@@ -398,6 +399,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for run sizes: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-dvfs",
@@ -410,14 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="simulate one benchmark under one scheme")
     run_p.add_argument("benchmark", choices=sorted(BENCHMARKS))
     run_p.add_argument("--scheme", choices=SCHEMES, default="adaptive")
-    run_p.add_argument("--instructions", type=int, default=60_000,
+    run_p.add_argument("--instructions", type=_positive_int, default=60_000,
                        help="truncate the run (phase proportions preserved)")
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the benchmark's deterministic RNG seed")
-    run_p.add_argument("--simcore", choices=("ref", "fast", "batch"),
-                       default=None,
+    run_p.add_argument("--simcore", choices=CORES, default=None,
                        help="simulation core (default: REPRO_SIMCORE env "
-                            "var, then 'fast'; all are bit-identical)")
+                            "var, then 'fast'; both are bit-identical)")
     run_p.add_argument("--json", action="store_true",
                        help="emit the full result as machine-readable JSON")
     run_p.set_defaults(func=_cmd_run)
@@ -427,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--schemes", nargs="+",
                        choices=[s for s in SCHEMES if s != "full-speed"],
                        default=["adaptive", "attack-decay", "pid"])
-    cmp_p.add_argument("--instructions", type=int, default=60_000)
+    cmp_p.add_argument("--instructions", type=_positive_int, default=60_000)
     cmp_p.add_argument("--seed", type=int, default=None,
                        help="override every benchmark's RNG seed")
     cmp_p.add_argument("--json", action="store_true",
@@ -447,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--schemes", nargs="+",
                          choices=[s for s in SCHEMES if s != "full-speed"],
                          default=["adaptive", "attack-decay", "pid"])
-    sweep_p.add_argument("--instructions", type=int, default=60_000)
+    sweep_p.add_argument("--instructions", type=_positive_int, default=60_000)
     sweep_p.add_argument("--seed", type=int, default=None,
                          help="override every benchmark's RNG seed")
     sweep_p.add_argument("--jobs", type=int, default=1,
@@ -461,8 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-job wall-clock timeout in seconds")
     sweep_p.add_argument("--retries", type=int, default=1,
                          help="extra attempts after a job failure")
-    sweep_p.add_argument("--simcore", choices=("ref", "fast", "batch"),
-                         default=None,
+    sweep_p.add_argument("--simcore", choices=CORES, default=None,
                          help="simulation core for every job (default: "
                               "REPRO_SIMCORE env var, then 'fast')")
     sweep_p.add_argument("--no-progress", action="store_false",
@@ -479,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_p.add_argument("benchmark", choices=sorted(BENCHMARKS))
     trace_p.add_argument("--scheme", choices=SCHEMES, default="adaptive")
-    trace_p.add_argument("--instructions", type=int, default=20_000,
+    trace_p.add_argument("--instructions", type=_positive_int, default=20_000,
                          help="truncate the run (phase proportions preserved)")
     trace_p.add_argument("--seed", type=int, default=None,
                          help="override the benchmark's deterministic RNG seed")
@@ -520,8 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="max_delay_ms",
                          help="coalescer: max added latency while waiting "
                               "to fill a batch")
-    serve_p.add_argument("--simcore", choices=("ref", "fast", "batch"),
-                         default=None,
+    serve_p.add_argument("--simcore", choices=CORES, default=None,
                          help="default simulation core for submitted jobs")
     serve_p.set_defaults(func=_cmd_serve)
 

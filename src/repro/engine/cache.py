@@ -35,7 +35,9 @@ from repro.mcd.processor import SimulationResult
 #:    were computed without it and would alias ref/fast results.
 #: 4: the "batch" core joined CORES; bumping keeps any pre-batch artifact
 #:    (written while "batch" was an invalid core name) from ever being
-#:    served to the new backend's lookups.
+#:    served to the new backend's lookups.  The batch core has since been
+#:    retired; "ref" and "fast" keys never changed, so the version stays
+#:    (tests/engine/test_engine_cache.py pins one key per core).
 CACHE_VERSION = 4
 
 #: keys are sha256 hex digests; anything else (``../`` traversal, short

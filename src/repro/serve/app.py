@@ -709,7 +709,7 @@ def _public_spec(job: SweepJob) -> Dict[str, Any]:
 
 
 def _expect(spec: Dict[str, Any], field: str, types: Any,
-            default: Any = None) -> Any:
+            default: Any = None, positive: bool = False) -> Any:
     value = spec.get(field, default)
     if value is None:
         return default
@@ -719,6 +719,9 @@ def _expect(spec: Dict[str, Any], field: str, types: Any,
         raise BadRequest(
             f"{field!r} must be {types}, got {type(value).__name__}"
         )
+    # ``not > 0`` also rejects NaN, which json.loads accepts
+    if positive and not value > 0:
+        raise BadRequest(f"{field!r} must be positive, got {value!r}")
     return value
 
 
@@ -772,11 +775,13 @@ def _parse_sweep_job(
         benchmark=bench_spec,
         scheme=scheme,
         machine=machine,
-        max_instructions=_expect(spec, "max_instructions", int),
+        max_instructions=_expect(spec, "max_instructions", int, positive=True),
         seed=_expect(spec, "seed", int),
         record_history=bool(spec.get("record_history", False)),
         history_stride=_expect(spec, "history_stride", int, 4),
-        pid_interval_ns=_expect(spec, "pid_interval_ns", (int, float)),
+        pid_interval_ns=_expect(
+            spec, "pid_interval_ns", (int, float), positive=True
+        ),
         adaptive_overrides=dict(overrides) if overrides else None,
         obs=obs,
         simcore=simcore,

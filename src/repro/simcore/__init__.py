@@ -1,32 +1,24 @@
-"""Selectable simulation cores: reference, fast scalar, and SoA batch.
+"""Selectable simulation cores: the reference loop and the fast path.
 
-Three interchangeable cores execute every simulation:
+Two interchangeable cores execute every simulation:
 
 * ``ref`` -- :class:`repro.mcd.processor.MCDProcessor`, the straight-line
   reference implementation;
 * ``fast`` -- :class:`repro.simcore.fast.FastMCDProcessor`, the
   profile-guided megaloop that is bit-identical by contract (same
   ``SimulationResult``, same ``FrequencyStepEvent`` sequence, same
-  probe-event stream) and >=2x faster;
-* ``batch`` -- :class:`repro.simcore.batchcore.BatchMCDProcessor`, the
-  structure-of-arrays core (PR 9): many seeds/configs simulate as one
-  lock-step batch whose DVFS control plane is vectorized with NumPy
-  (:mod:`repro.simcore.soa`), still bit-identical per lane.  Requires
-  numpy; without it the core degrades to the fast megaloop with a
-  one-time warning.
+  probe-event stream) and >=2x faster.
 
 ``fast`` is the default; ``REPRO_SIMCORE=ref`` is the escape hatch that
 forces the reference core everywhere (CLI, sweeps, pool workers -- the
 environment variable is inherited across process boundaries).  Sweep cache
-keys include the resolved core, so results produced under different cores
+keys include the resolved core, so results produced under the two cores
 never alias even though they are byte-identical by contract.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import os
-import warnings
 from typing import TYPE_CHECKING, Any, Optional, Tuple, Type
 
 from repro.simcore.batch import run_batch
@@ -41,7 +33,7 @@ if TYPE_CHECKING:
 #: environment variable selecting the simulation core
 SIMCORE_ENV = "REPRO_SIMCORE"
 #: recognised core names
-CORES: Tuple[str, ...] = ("ref", "fast", "batch")
+CORES: Tuple[str, ...] = ("ref", "fast")
 #: core used when neither an explicit choice nor the env var is given
 DEFAULT_CORE = "fast"
 
@@ -52,11 +44,9 @@ __all__ = [
     "EventWheel",
     "SimTables",
     "assert_results_identical",
-    "batch_available",
     "create_processor",
     "hot_path",
     "processor_class",
-    "reset_degradation_warning",
     "resolve_core",
     "results_identical",
     "run_batch",
@@ -77,39 +67,9 @@ def resolve_core(choice: Optional[str] = None) -> str:
         raise ValueError(
             f"unknown simcore {selected!r} (from "
             f"{'argument' if choice is not None else SIMCORE_ENV}); "
-            f"expected one of {CORES}"
+            f"expected one of: {', '.join(CORES)}"
         )
     return selected
-
-
-def batch_available() -> bool:
-    """Is the vectorized control plane usable (numpy importable)?"""
-    return importlib.util.find_spec("numpy") is not None
-
-
-#: Whether the batch->fast degradation warning has fired this process.
-#: Sweeps resolve the core once per job, so an unguarded warn would spam
-#: one line per lane; tests reset the guard to observe the warning again.
-_degradation_warned = False
-
-
-def reset_degradation_warning() -> None:
-    """Re-arm the one-shot degradation warning (test isolation hook)."""
-    global _degradation_warned
-    _degradation_warned = False
-
-
-def _warn_degraded() -> None:
-    global _degradation_warned
-    if _degradation_warned:
-        return
-    _degradation_warned = True
-    warnings.warn(
-        "REPRO_SIMCORE=batch requested but numpy is not installed; "
-        "simulating with the bit-identical 'fast' core instead",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 def processor_class(choice: Optional[str] = None) -> Type["MCDProcessor"]:
@@ -119,14 +79,6 @@ def processor_class(choice: Optional[str] = None) -> Type["MCDProcessor"]:
         from repro.mcd.processor import MCDProcessor
 
         return MCDProcessor
-    if core == "batch":
-        # BatchMCDProcessor itself is numpy-free; without numpy its run()
-        # degrades lane by lane to the (bit-identical) fast megaloop.
-        if not batch_available():
-            _warn_degraded()
-        from repro.simcore.batchcore import BatchMCDProcessor
-
-        return BatchMCDProcessor
     from repro.simcore.fast import FastMCDProcessor
 
     return FastMCDProcessor

@@ -8,18 +8,6 @@ and -- when the fast core is selected -- share one interned
 (:func:`repro.simcore.tables.tables_for` memoizes on the machine config and
 power parameters, so table construction is paid once per process, not once
 per replica).
-
-When the resolved core is ``batch`` and numpy is importable, the seeds
-skip the engine's per-job pool entirely: every cache-miss job becomes one
-lane of a single :class:`repro.simcore.soa.BatchSimulator`, whose DVFS
-control plane advances all lanes at once as structure-of-arrays numpy
-operations.  The engine's result cache is still consulted per job before
-the batch is formed and populated per job after it runs, so batch runs
-interoperate with cached ``batch`` artifacts exactly like pool runs do
-(the cache key resolves the core, so ``batch`` entries never alias
-``ref``/``fast``).  Without numpy the path degrades to the ordinary
-engine route, where each lane's :meth:`BatchMCDProcessor.run` falls back
-to the bit-identical fast megaloop.
 """
 
 from __future__ import annotations
@@ -27,7 +15,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:
-    from repro.engine.jobs import SweepJob
     from repro.engine.scheduler import SweepEngine
     from repro.mcd.domains import MachineConfig
     from repro.mcd.processor import SimulationResult
@@ -93,83 +80,8 @@ def run_batch(
         )
         for seed, span in zip(seed_list, span_list)
     ]
-    from repro.simcore import resolve_core
-
-    if resolve_core(simcore) == "batch":
-        vectorized = _run_batch_vectorized(jobs, engine)
-        if vectorized is not None:
-            return vectorized
     results: "List[SimulationResult]" = run_experiment_batch(jobs, engine=engine)
     return results
-
-
-def _run_batch_vectorized(
-    jobs: "Sequence[SweepJob]", engine: "Optional[SweepEngine]"
-) -> "Optional[List[SimulationResult]]":
-    """Run ``jobs`` as lanes of one vectorized batch; ``None`` sans numpy.
-
-    Mirrors :func:`repro.harness.experiment.run_experiment`'s construction
-    exactly -- raw seed into the trace generator, effective seed into the
-    processor -- so each lane's :class:`SimulationResult` is bit-identical
-    to what the per-job path would produce.  The engine's cache (when
-    present) is consulted before and populated after the batch; its pool
-    is deliberately bypassed -- for the batch core, throughput comes from
-    vector width, not worker processes.
-    """
-    try:
-        from repro.simcore.soa import BatchSimulator
-    except ImportError:
-        return None  # no numpy: the ordinary engine path handles fallback
-    from repro.harness.experiment import build_controllers
-    from repro.mcd.domains import MachineConfig
-    from repro.simcore.batchcore import BatchMCDProcessor
-    from repro.workloads.generator import generate_trace
-
-    cache = engine.cache if engine is not None else None
-    results: "List[Optional[SimulationResult]]" = [None] * len(jobs)
-    miss_indices: List[int] = []
-    lanes: List[BatchMCDProcessor] = []
-    for index, job in enumerate(jobs):
-        if cache is not None:
-            cached = cache.get(job)
-            if cached is not None:
-                results[index] = cached
-                continue
-        spec = job.benchmark
-        machine = job.machine or MachineConfig()
-        effective_seed = spec.seed if job.seed is None else job.seed
-        trace = generate_trace(
-            spec, max_instructions=job.max_instructions, seed=job.seed
-        )
-        controllers = build_controllers(
-            job.scheme,
-            machine=machine,
-            pid_interval_ns=job.pid_interval_ns,
-            adaptive_overrides=dict(job.adaptive_overrides)
-            if job.adaptive_overrides
-            else None,
-        )
-        lanes.append(
-            BatchMCDProcessor(
-                trace=trace,
-                config=machine,
-                controllers=controllers,
-                seed=effective_seed,
-                record_history=job.record_history,
-                history_stride=job.history_stride,
-                benchmark=spec.name,
-                scheme=job.scheme,
-                obs=job.obs,
-            )
-        )
-        miss_indices.append(index)
-    if lanes:
-        fresh = BatchSimulator(lanes).run()
-        for index, result in zip(miss_indices, fresh):
-            results[index] = result
-            if cache is not None:
-                cache.put(jobs[index], result)
-    return [r for r in results if r is not None]  # all slots are filled
 
 
 __all__ = ["run_batch"]

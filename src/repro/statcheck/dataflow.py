@@ -37,20 +37,6 @@ V = TypeVar("V")
 Env = Dict[str, V]
 
 
-def _as_load(node: ast.expr) -> ast.expr:
-    """A ``Load``-context clone of an attribute/subscript store target."""
-    clone: ast.expr
-    if isinstance(node, ast.Attribute):
-        clone = ast.Attribute(value=node.value, attr=node.attr, ctx=ast.Load())
-    elif isinstance(node, ast.Subscript):
-        clone = ast.Subscript(
-            value=node.value, slice=node.slice, ctx=ast.Load()
-        )
-    else:  # pragma: no cover - callers only pass attribute/subscript
-        return node
-    return ast.copy_location(clone, node)
-
-
 class ForwardWalker(Generic[V]):
     """Forward abstract interpreter over one function (or module) body.
 
@@ -59,13 +45,6 @@ class ForwardWalker(Generic[V]):
     abstract value of an expression (and may emit findings as a side
     effect), and :meth:`assign_hook` observes name bindings.
     """
-
-    #: When True, ``x.attr op= e`` / ``x[i] op= e`` infer the current
-    #: value of the target (as a Load expression) and pass it to
-    #: :meth:`aug_combine` as ``left``.  Off by default: the original
-    #: clients (units, def-use) define augmented semantics for plain
-    #: names only, and widening their inputs could change findings.
-    aug_reads_stores: bool = False
 
     def merge(self, a: V, b: V) -> V:
         raise NotImplementedError
@@ -144,10 +123,6 @@ class ForwardWalker(Generic[V]):
                     ),
                     env,
                 )
-            elif self.aug_reads_stores and isinstance(
-                stmt.target, (ast.Attribute, ast.Subscript)
-            ):
-                left = self.infer(_as_load(stmt.target), env)
             combined = self.aug_combine(stmt, left, right)
             self._bind(stmt.target, combined, env)
             return env

@@ -1,7 +1,6 @@
 """Built-in statcheck rules; importing this package registers them all."""
 
 from repro.statcheck.rules import (  # noqa: F401  (import-for-registration)
-    arraycontract,
     asyncrules,
     cache_key,
     control,

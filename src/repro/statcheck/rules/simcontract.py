@@ -17,14 +17,10 @@ consumes nor maintains that state, and the two cores have structurally
 diverged.
 
 Pairings are found by class name (``MCDProcessor`` vs a subclass whose
-name starts with ``Fast`` or ``Batch``), so the rule also covers
-fixture-shaped pairs in tests.  Base resolution is transitive:
-``BatchMCDProcessor`` derives from ``MCDProcessor`` *via*
-``FastMCDProcessor``, and each derived core is held to the full
-reference contract independently.  Findings land on the derived class
-definition, where the missing write-back belongs; a deliberate
-divergence is suppressed there with
-``# statcheck: disable=SIM001 -- <why>``.
+name starts with ``Fast``), so the rule also covers fixture-shaped
+pairs in tests.  Findings land on the fast class definition, where the
+missing write-back belongs; a deliberate divergence is suppressed there
+with ``# statcheck: disable=SIM001 -- <why>``.
 """
 
 from __future__ import annotations
@@ -37,9 +33,9 @@ from repro.statcheck.findings import Finding
 from repro.statcheck.registry import register
 from repro.statcheck.semantic import ClassInfo, SymbolTable
 
-#: reference class name -> required derived-core name prefixes
+#: reference class name -> required fast-subclass name prefix
 _REF_CLASS = "MCDProcessor"
-_CORE_PREFIXES = ("Fast", "Batch")
+_FAST_PREFIX = "Fast"
 
 
 def _self_attr_of(target: ast.expr) -> Optional[Tuple[str, ast.expr]]:
@@ -88,43 +84,24 @@ def _touched_self_attrs(cls: ClassInfo) -> Set[str]:
     return touched
 
 
-def _derives_from(
-    table: SymbolTable, cls: ClassInfo, ref: ClassInfo, seen: Set[str]
-) -> bool:
-    """Does ``cls`` inherit from ``ref``, directly or transitively?
-
-    Transitivity matters: the batch core subclasses the *fast* core, not
-    the reference directly, yet must still carry the reference contract.
-    """
-    if cls.qualname in seen:
-        return False  # inheritance cycles cannot happen, but stay total
-    seen.add(cls.qualname)
-    for base in cls.bases:
-        base_cls = table.classes.get(base) or table.resolve_class(
-            cls.module, base
-        )
-        if base_cls is None:
-            continue
-        if base_cls.qualname == ref.qualname:
-            return True
-        if _derives_from(table, base_cls, ref, seen):
-            return True
-    return False
-
-
-def _core_subclasses(
+def _fast_subclasses(
     table: SymbolTable, ref: ClassInfo
 ) -> Iterator[ClassInfo]:
     for qualname in sorted(table.classes):
         cls = table.classes[qualname]
         if cls.qualname == ref.qualname:
             continue
-        if not cls.name.startswith(_CORE_PREFIXES):
+        if not cls.name.startswith(_FAST_PREFIX):
             continue
         if not cls.name.endswith(ref.name):
             continue
-        if _derives_from(table, cls, ref, set()):
-            yield cls
+        for base in cls.bases:
+            base_cls = table.classes.get(base) or table.resolve_class(
+                cls.module, base
+            )
+            if base_cls is not None and base_cls.qualname == ref.qualname:
+                yield cls
+                break
 
 
 @register
@@ -134,9 +111,9 @@ class SimContractRule(Rule):
     id = "SIM001"
     description = (
         "every state attribute the reference MCDProcessor hot path assigns "
-        "must be read or written by each Fast*/Batch* subclass (or carry a "
-        "justified suppression) -- silent state drift between the cores "
-        "breaks the bit-identity contract structurally"
+        "must be read or written by its Fast* subclass (or carry a "
+        "justified suppression) -- silent state drift between the two "
+        "cores breaks the bit-identity contract structurally"
     )
     scope = ()  # cross-module
 
@@ -146,17 +123,17 @@ class SimContractRule(Rule):
             assigned = _assigned_self_attrs(ref)
             if not assigned:
                 continue
-            for core in _core_subclasses(table, ref):
-                touched = _touched_self_attrs(core)
+            for fast in _fast_subclasses(table, ref):
+                touched = _touched_self_attrs(fast)
                 for attr in sorted(assigned):
                     if attr in touched:
                         continue
                     store = assigned[attr]
                     yield self.finding(
-                        core.file,
-                        core.node,
+                        fast.file,
+                        fast.node,
                         f"reference hot path assigns self.{attr} "
                         f"({ref.module}:{store.lineno}) but "
-                        f"{core.name} never reads or writes it; the derived "
+                        f"{fast.name} never reads or writes it; the fast "
                         "core has drifted from the reference state contract",
                     )

@@ -106,7 +106,6 @@ EXACT_ANNOTATIONS: Dict[str, Dim] = {
     "f_target": FREQUENCY,
     "f_min": FREQUENCY,
     "f_max": FREQUENCY,
-    "fspan": FREQUENCY,
     "cur": FREQUENCY,
     "tgt": FREQUENCY,
     # voltage
@@ -114,8 +113,6 @@ EXACT_ANNOTATIONS: Dict[str, Dim] = {
     "_voltage": VOLTAGE,
     "v_max": VOLTAGE,
     "v_min": VOLTAGE,
-    "vspan": VOLTAGE,
-    "volt": VOLTAGE,
     # energy
     "energy": ENERGY,
     # occupancy (queue entries)

@@ -1,8 +1,7 @@
 """Tests for the discrete-time sampled-loop model (paper future work)."""
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # the analysis layer is numpy-gated
 
 from repro.analysis.discrete import DiscreteClosedLoop, from_continuous, max_stable_km
 from repro.analysis.linearize import linearize

@@ -1,8 +1,7 @@
 """Tests for online/offline mu-f parameter estimation (paper Sec 4.3)."""
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # the analysis layer is numpy-gated
 
 from repro.analysis.estimation import (
     MuFEstimate,

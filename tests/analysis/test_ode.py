@@ -5,9 +5,8 @@ trajectories -- the check the paper's Figure-6 approximation argument rests
 on -- and exercise the nonlinear saturating model.
 """
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # the analysis layer is numpy-gated
 
 from repro.analysis.linearize import LinearizedSystem, linearize
 from repro.analysis.model import ClosedLoopModel, ControllerModel, ServiceModel

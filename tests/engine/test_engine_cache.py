@@ -15,6 +15,16 @@ from repro.engine.jobs import SweepJob, run_job
 from repro.mcd.domains import DomainId, MachineConfig
 
 
+#: literal keys of one tiny job per core.  Every existing cache entry is
+#: addressed by keys like these, so a change that moves them must be
+#: deliberate and bump CACHE_VERSION; update these digests in the same
+#: change.
+PINNED_KEYS = {
+    "ref": "bcc6fadb24edea6d8cf602800d24bd80a432b20ce1c23a18a72eee99e5bd0214",
+    "fast": "62ebb3a4dd7fa7b8bb6a6585511fba449e44f49badf57d4d4ca6f9d87eedcef1",
+}
+
+
 @pytest.fixture(scope="module")
 def job():
     return SweepJob.make("adpcm-encode", scheme="adaptive", max_instructions=1500)
@@ -58,6 +68,18 @@ class TestCacheKey:
     def test_different_benchmark_changes_key(self, job):
         other = SweepJob.make("gzip", scheme="adaptive", max_instructions=1500)
         assert job_cache_key(job) != job_cache_key(other)
+
+    @pytest.mark.parametrize("core", sorted(PINNED_KEYS))
+    def test_key_is_pinned_per_core(self, core):
+        tiny = SweepJob.make(
+            "adpcm-encode",
+            scheme="adaptive",
+            max_instructions=1000,
+            seed=1,
+            simcore=core,
+        )
+        assert CACHE_VERSION == 4
+        assert job_cache_key(tiny) == PINNED_KEYS[core]
 
 
 class TestResultCache:

@@ -24,6 +24,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "gzip", "--schemes", "full-speed"])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "gzip"], ["sweep", "gzip"], ["serve"],
+    ])
+    def test_retired_batch_core_exits_2_listing_cores(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--simcore", "batch"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'batch'" in err
+        assert "ref" in err and "fast" in err
+
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep", "trace"])
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_non_positive_instructions_exit_2(self, command, size, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "adpcm-encode", "--instructions", size])
+        assert excinfo.value.code == 2
+        assert "--instructions: must be positive" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -149,14 +168,16 @@ class TestSweepCommand:
         assert "unknown benchmark" in capsys.readouterr().err
 
     def test_run_rejects_bad_simcore_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SIMCORE", "turbo")
-        assert main(["run", "adpcm-encode", "--instructions", "2000"]) == 2
-        assert "unknown simcore 'turbo'" in capsys.readouterr().err
+        for name in ("turbo", "batch"):
+            monkeypatch.setenv("REPRO_SIMCORE", name)
+            assert main(["run", "adpcm-encode", "--instructions", "2000"]) == 2
+            assert f"unknown simcore '{name}'" in capsys.readouterr().err
 
     def test_sweep_rejects_bad_simcore_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SIMCORE", "turbo")
-        assert main(["sweep", "adpcm-encode"]) == 2
-        assert "unknown simcore 'turbo'" in capsys.readouterr().err
+        for name in ("turbo", "batch"):
+            monkeypatch.setenv("REPRO_SIMCORE", name)
+            assert main(["sweep", "adpcm-encode"]) == 2
+            assert f"unknown simcore '{name}'" in capsys.readouterr().err
 
 
 class TestSimcoreEcho:
@@ -175,21 +196,21 @@ class TestSimcoreEcho:
         assert self._run_core(capsys) == "fast"
 
     def test_run_json_echoes_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SIMCORE", "batch")
-        assert self._run_core(capsys) == "batch"
+        monkeypatch.setenv("REPRO_SIMCORE", "ref")
+        assert self._run_core(capsys) == "ref"
 
     def test_run_json_arg_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SIMCORE", "batch")
-        assert self._run_core(capsys, ["--simcore", "ref"]) == "ref"
+        monkeypatch.setenv("REPRO_SIMCORE", "ref")
+        assert self._run_core(capsys, ["--simcore", "fast"]) == "fast"
 
-    def test_sweep_json_echoes_batch(self, capsys, monkeypatch):
+    def test_sweep_json_echoes_ref(self, capsys, monkeypatch):
         import json
 
         monkeypatch.delenv("REPRO_SIMCORE", raising=False)
         assert main(
             ["sweep", "adpcm-encode", "--schemes", "adaptive",
              "--instructions", "1500", "--seed", "3", "--no-progress",
-             "--simcore", "batch", "--json"]
+             "--simcore", "ref", "--json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["simcore"] == "batch"
+        assert payload["simcore"] == "ref"

@@ -187,9 +187,9 @@ class TestSimcoreEcho:
         sub = client.submit_run(run_spec(seed=51))
         assert sub["simcore"] == "fast"
 
-    def test_run_submit_accepts_and_echoes_batch(self, client):
-        sub = client.submit_run(run_spec(seed=52, simcore="batch"))
-        assert sub["simcore"] == "batch"
+    def test_run_submit_accepts_and_echoes_ref(self, client):
+        sub = client.submit_run(run_spec(seed=52, simcore="ref"))
+        assert sub["simcore"] == "ref"
         client.wait_for_job(sub["id"])
         served = client.get_result(sub["result_sha"])
         served.pop("sha")
@@ -200,10 +200,10 @@ class TestSimcoreEcho:
                 seed=52,
                 max_instructions=INSTRUCTIONS,
                 record_history=False,
-                simcore="ref",
+                simcore="fast",
             )
         )
-        # a batch-served run is bit-identical to a direct reference run
+        # a ref-served run is bit-identical to a direct fast-core run
         assert json.dumps(served, sort_keys=True) == json.dumps(
             direct, sort_keys=True
         )
@@ -214,9 +214,9 @@ class TestSimcoreEcho:
             "schemes": ["adaptive"],
             "seeds": [61, 62],
             "max_instructions": INSTRUCTIONS,
-            "simcore": "batch",
+            "simcore": "ref",
         })
-        assert sub["simcore"] == ["batch"]
+        assert sub["simcore"] == ["ref"]
 
 
 class TestErrors:
@@ -256,9 +256,36 @@ class TestErrors:
         assert excinfo.value.status == 400
 
     def test_unknown_simcore_is_400(self, client):
+        # "batch" names a retired core: it must be refused, not degraded
+        for name in ("turbo", "batch"):
+            with pytest.raises(ServeError) as excinfo:
+                client.submit_run(run_spec(seed=53, simcore=name))
+            assert excinfo.value.status == 400
+            assert "known: ref, fast" in str(excinfo.value)
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_instructions", 0),
+        ("max_instructions", -100),
+        ("pid_interval_ns", 0),
+        ("pid_interval_ns", -1),
+    ])
+    def test_non_positive_run_size_is_400(self, client, field, value):
+        spec = run_spec(seed=54, scheme="pid")
+        spec[field] = value
         with pytest.raises(ServeError) as excinfo:
-            client.submit_run(run_spec(seed=53, simcore="turbo"))
+            client.submit_run(spec)
         assert excinfo.value.status == 400
+        assert f"'{field}' must be positive" in str(excinfo.value)
+
+    def test_non_positive_sweep_size_is_400(self, client):
+        with pytest.raises(ServeError) as excinfo:
+            client.submit_sweep({
+                "benchmarks": [BENCH],
+                "seeds": [55],
+                "max_instructions": 0,
+            })
+        assert excinfo.value.status == 400
+        assert "'max_instructions' must be positive" in str(excinfo.value)
 
     def test_oversized_sweep_rejected(self, client):
         with pytest.raises(ServeError) as excinfo:

@@ -15,15 +15,13 @@ import gc
 
 import pytest
 
-from repro.simcore import batch_available, create_processor
+from repro.simcore import CORES, create_processor
 from repro.workloads.generator import generate_trace
 from repro.workloads.suite import get_benchmark
 
 #: far above what construction needs (a few hundred objects), far below
 #: one object per cache or BTB set
 _MAX_NEW_OBJECTS = 1000
-
-_CORES = ["ref", "fast"] + (["batch"] if batch_available() else [])
 
 
 def _tracked_objects_added(build) -> int:
@@ -39,7 +37,7 @@ def _tracked_objects_added(build) -> int:
     return added
 
 
-@pytest.mark.parametrize("core", _CORES)
+@pytest.mark.parametrize("core", CORES)
 def test_processor_construction_allocates_no_per_set_objects(core):
     trace = generate_trace(get_benchmark("gzip"), max_instructions=1000, seed=1)
 

@@ -7,10 +7,6 @@ controller style the repo supports, a derived-core run must produce the
 as the reference core.  Any divergence here means the derived core
 changed simulation semantics and must be fixed in ``repro.simcore``,
 never papered over in the comparison.
-
-The core under test defaults to ``fast``; CI's batch-equivalence job
-re-runs the whole suite with ``REPRO_GOLDEN_OTHER=batch`` to hold the
-SoA backend to the identical bar (per-lane extraction included).
 """
 
 from __future__ import annotations
@@ -32,18 +28,12 @@ _INSTRUCTIONS = 2500
 _SCHEMES = ("full-speed", "adaptive", "attack-decay", "pid", "centralized")
 _SEEDS = (1, 2, 3)
 
-#: the non-reference core this suite holds to bit-identity ("fast" by
-#: default; CI's batch-equivalence job sets REPRO_GOLDEN_OTHER=batch)
-_OTHER_CORE = os.environ.get("REPRO_GOLDEN_OTHER", "fast")
+#: the non-reference core this suite holds to bit-identity
+_OTHER_CORE = "fast"
 
 
 def _pair(benchmark, **kwargs):
     """One (ref, other-core) result pair for identical inputs."""
-    # The batch core only vectorizes history-free lanes, so default
-    # recording off under REPRO_GOLDEN_OTHER=batch to exercise the SoA
-    # path (the history fallback is covered by test_with_history_recording,
-    # which passes record_history=True explicitly).
-    kwargs.setdefault("record_history", _OTHER_CORE != "batch")
     ref = run_experiment(benchmark, simcore="ref", **kwargs)
     other = run_experiment(benchmark, simcore=_OTHER_CORE, **kwargs)
     return ref, other

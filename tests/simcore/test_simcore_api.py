@@ -31,16 +31,21 @@ class TestResolveCore:
         assert resolve_core() == DEFAULT_CORE
 
     def test_unknown_choice_raises(self):
-        with pytest.raises(ValueError, match="unknown simcore 'turbo'"):
-            resolve_core("turbo")
+        # "batch" names a retired core: it must fail, not fall back
+        for name in ("turbo", "batch"):
+            with pytest.raises(
+                ValueError, match=f"unknown simcore '{name}'.*ref, fast"
+            ):
+                resolve_core(name)
 
     def test_unknown_env_var_raises_and_names_the_env_var(self, monkeypatch):
-        monkeypatch.setenv(SIMCORE_ENV, "typo")
-        with pytest.raises(ValueError, match=SIMCORE_ENV):
-            resolve_core()
+        for name in ("typo", "batch"):
+            monkeypatch.setenv(SIMCORE_ENV, name)
+            with pytest.raises(ValueError, match=f"{SIMCORE_ENV}.*ref, fast"):
+                resolve_core()
 
     def test_cores_registry(self):
-        assert CORES == ("ref", "fast", "batch")
+        assert CORES == ("ref", "fast")
         assert DEFAULT_CORE in CORES
 
 
@@ -57,14 +62,6 @@ class TestProcessorClass:
         cls = processor_class("fast")
         assert cls is FastMCDProcessor
         assert issubclass(cls, MCDProcessor)
-
-    def test_batch_maps_to_batch_class(self):
-        from repro.simcore.batchcore import BatchMCDProcessor
-        from repro.simcore.fast import FastMCDProcessor
-
-        cls = processor_class("batch")
-        assert cls is BatchMCDProcessor
-        assert issubclass(cls, FastMCDProcessor)
 
     def test_create_processor_forwards_kwargs(self, tiny_benchmark):
         from repro.workloads.generator import generate_trace
@@ -146,14 +143,11 @@ class TestCacheKeying:
 
         ref_job = SweepJob.make(tiny_benchmark, seed=1, simcore="ref")
         fast_job = SweepJob.make(tiny_benchmark, seed=1, simcore="fast")
-        batch_job = SweepJob.make(tiny_benchmark, seed=1, simcore="batch")
         assert ref_job.canonical_dict()["simcore"] == "ref"
         assert fast_job.canonical_dict()["simcore"] == "fast"
-        assert batch_job.canonical_dict()["simcore"] == "batch"
-        keys = {
-            j.canonical_json() for j in (ref_job, fast_job, batch_job)
-        }
-        assert len(keys) == 3, "cores must never alias in the cache key"
+        assert ref_job.canonical_json() != fast_job.canonical_json(), (
+            "cores must never alias in the cache key"
+        )
 
     def test_env_var_reaches_cache_key(self, tiny_benchmark, monkeypatch):
         from repro.engine.cache import job_cache_key

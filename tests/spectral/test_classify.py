@@ -1,8 +1,7 @@
 """Unit tests for fast-workload-variation classification."""
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # the spectral layer is numpy-gated
 
 from repro.spectral.classify import (
     FAST_WAVELENGTH_SAMPLES,

@@ -1,8 +1,7 @@
 """Unit tests for the multi-taper spectrum estimator."""
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # the spectral layer is numpy-gated
 
 from repro.spectral.multitaper import VarianceSpectrum, multitaper_spectrum
 

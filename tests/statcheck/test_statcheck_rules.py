@@ -27,8 +27,6 @@ RULE_CASES = [
         "unit001_clean.py",
     ),
     ("SIM001", "sim001_fires.py", [23], "sim001_clean.py"),
-    # transitive pairing: Batch* derives from the reference via Fast*
-    ("SIM001", "sim001_batch_fires.py", [37], "sim001_clean.py"),
     ("RACE001", "race001_fires.py", [16, 17, 18], "race001_clean.py"),
     ("ASYNC001", "async001_fires.py", [17, 22, 23, 24, 33], "async001_clean.py"),
     ("ASYNC002", "async002_fires.py", [7, 8, 12], "async002_clean.py"),
@@ -37,15 +35,6 @@ RULE_CASES = [
     ("MET001", "met001_fires.py", [11, 13, 16], "met001_clean.py"),
     ("SPAN001", "span001_fires.py", [7, 13], "span001_clean.py"),
     ("SPAN002", "span002_fires.py", [5, 10], "span002_clean.py"),
-    ("VEC001", "vec001_fires.py", [22, 30], "vec001_clean.py"),
-]
-
-#: (rule, firing fixture, expected lines, clean fixture) for the array
-#: rules, which scope to repro.simcore like PERF001 does
-SOA_RULE_CASES = [
-    ("SOA001", "soa001_fires.py", [9, 14, 20], "soa001_clean.py"),
-    ("SOA002", "soa002_fires.py", [9, 16, 22], "soa002_clean.py"),
-    ("SOA003", "soa003_fires.py", [9, 15, 21], "soa003_clean.py"),
 ]
 
 
@@ -101,36 +90,6 @@ def test_perf001_silent_on_clean_fixture():
         findings_for("perf001_clean.py", "PERF001", module=PERF_SCOPE_MODULE)
         == []
     )
-
-
-@pytest.mark.parametrize(
-    "rule_id,fixture,lines",
-    [(rule, fires, lines) for rule, fires, lines, _ in SOA_RULE_CASES],
-)
-def test_soa_rule_fires_at_expected_lines(rule_id, fixture, lines):
-    findings = findings_for(fixture, rule_id, module=PERF_SCOPE_MODULE)
-    assert sorted(f.line for f in findings) == lines
-    for finding in findings:
-        assert finding.rule == rule_id
-        assert finding.message
-
-
-@pytest.mark.parametrize(
-    "rule_id,fixture",
-    [(rule, clean) for rule, _, _, clean in SOA_RULE_CASES],
-)
-def test_soa_rule_is_silent_on_clean_fixture(rule_id, fixture):
-    assert findings_for(fixture, rule_id, module=PERF_SCOPE_MODULE) == []
-
-
-@pytest.mark.parametrize("rule_id,fixture", [
-    (rule, fires) for rule, fires, _, _ in SOA_RULE_CASES
-])
-def test_soa_rules_scope_to_simcore(rule_id, fixture):
-    """Array rules stay quiet outside repro.simcore: analysis packages
-    use numpy for post-processing, where these contracts don't apply."""
-    assert findings_for(fixture, rule_id, module=IN_SCOPE) == []
-    assert findings_for(fixture, rule_id, module=OUT_OF_SCOPE) == []
 
 
 def test_perf001_scopes_to_simulator_packages():
