@@ -30,6 +30,7 @@ from repro.harness.reporting import format_table
 from repro.serve.app import ServeConfig
 from repro.serve.client import ServeClient
 from repro.serve.testing import BackgroundServer
+from repro.serve.top import build_snapshot, parse_prometheus
 
 #: controller-step load: requests per measurement and trajectory length.
 STEP_REQUESTS = 400
@@ -84,12 +85,13 @@ def _measure():
         assert all(r["benchmark"] == "gsm-decode" for r in results)
 
         stats = client.stats()
+        scrape = build_snapshot(parse_prometheus(client.metrics_text()))
         client.close()
-    return step_wall, run_wall, stats
+    return step_wall, run_wall, stats, scrape
 
 
 def test_serve_load(benchmark):
-    step_wall, run_wall, stats = run_once(benchmark, _measure)
+    step_wall, run_wall, stats, scrape = run_once(benchmark, _measure)
 
     step_req_per_s = STEP_REQUESTS / step_wall
     coalescer = stats["coalescer"]
@@ -111,7 +113,9 @@ def test_serve_load(benchmark):
             "run_batch_calls": coalescer["run_batch_calls"],
             "runs_per_call": runs_per_call,
         },
-        "requests_served": stats["counters"].get("events.serve_request", 0),
+        "requests_served": int(sum(
+            scrape.get("repro_http_requests_total", {}).values()
+        )),
     }
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, "BENCH_serve.json"), "w") as handle:

@@ -54,13 +54,7 @@ from repro.engine import telemetry as tm
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import SweepJob, run_job
 from repro.obs.metrics import Counter, CounterFamily, Gauge, MetricsRegistry
-from repro.obs.spans import (
-    NULL_TRACER,
-    Span,
-    SpanContext,
-    TracerLike,
-    start_worker_span,
-)
+from repro.obs.spans import Span, SpanContext, SpanRecorder, start_worker_span
 from repro.simcore import resolve_core
 from repro.mcd.processor import SimulationResult
 
@@ -226,7 +220,7 @@ class SweepEngine:
         config: Optional[EngineConfig] = None,
         runner: Callable[[SweepJob], SimulationResult] = run_job,
         telemetry: Optional[tm.RunTelemetry] = None,
-        tracer: TracerLike = NULL_TRACER,
+        tracer: Optional[SpanRecorder] = None,
         trace_parent: Optional[SpanContext] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -255,7 +249,7 @@ class SweepEngine:
         self._m_inflight: Optional[Gauge] = None
         self._m_cache_ratio: Optional[Gauge] = None
         self._m_instr_rate: Optional[Gauge] = None
-        if metrics is not None and metrics.enabled:
+        if metrics is not None:
             self._m_jobs = metrics.counter_family(
                 "repro_engine_jobs_total",
                 "Sweep jobs by terminal outcome", ("outcome",),
@@ -303,7 +297,7 @@ class SweepEngine:
         jobs = list(jobs)
         if self.config.progress:
             self.telemetry.add_listener(tm.ProgressReporter(len(jobs)))
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self._sweep_span = self.tracer.start(
                 "sweep",
                 parent=self.trace_parent,
@@ -341,7 +335,7 @@ class SweepEngine:
                 self.telemetry.emit(tm.JOB_CACHE_HIT, job.job_id, **extra)
                 if self._m_jobs is not None:
                     self._m_jobs.labels(outcome="cache_hit").inc()
-                if self.tracer.enabled:
+                if self.tracer is not None:
                     self.tracer.start(
                         f"job:{job.job_id}",
                         parent=self._job_parent(job),
@@ -395,13 +389,13 @@ class SweepEngine:
     def _span_parent_dict(self, job: SweepJob) -> Optional[Dict[str, str]]:
         """What crosses the process boundary: a plain dict, or None when
         tracing is off (keeping the worker path allocation-free)."""
-        if not self.tracer.enabled:
+        if self.tracer is None:
             return None
         parent = self._job_parent(job)
         return parent.to_dict() if parent is not None else None
 
     def _record_worker_span(self, span: Optional[Dict[str, Any]]) -> None:
-        if span is not None and self.tracer.enabled:
+        if span is not None and self.tracer is not None:
             self.tracer.record(span)
 
     def _job_done(self, outcome: str) -> None:

@@ -147,10 +147,8 @@ class RunTelemetry:
             JOB_FAILED: 0,
             JOB_CANCELLED: 0,
         }
-        self.events: List[TelemetryEvent] = []
         self._started_at: Optional[float] = None
         self._finished_at: Optional[float] = None
-        self.keep_events = True
         #: summed condensed per-job probe summaries (empty when obs is off)
         self.obs_totals: Dict[str, float] = {}
         self._obs_jobs = 0
@@ -175,8 +173,6 @@ class RunTelemetry:
             self._started_at = time.monotonic()
         elif kind == SWEEP_FINISHED:
             self._finished_at = time.monotonic()
-        if self.keep_events:
-            self.events.append(event)
         for listener in self.listeners:
             listener(event)
         return event

@@ -12,24 +12,10 @@ takes a no-op fast path -- see DESIGN.md section 6b.
 """
 
 from repro.obs.facade import Observability, ObsConfig
-from repro.obs.metrics import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    MetricsRegistry,
-    NullMetrics,
-)
+from repro.obs.metrics import Counter, Gauge, LatencyHistogram, MetricsRegistry
 from repro.obs.probe import NULL_PROBE, Histogram, NullProbe, ProbeBus
 from repro.obs.profiler import SAMPLE_PHASES, PhaseProfiler
-from repro.obs.spans import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    SpanContext,
-    SpanRecorder,
-    start_worker_span,
-)
+from repro.obs.spans import Span, SpanContext, SpanRecorder, start_worker_span
 from repro.obs.schema import (
     validate_chrome_file,
     validate_event,
@@ -55,16 +41,12 @@ __all__ = [
     "NULL_PROBE",
     "Histogram",
     "MetricsRegistry",
-    "NullMetrics",
-    "NULL_METRICS",
     "Counter",
     "Gauge",
     "LatencyHistogram",
     "SpanRecorder",
     "SpanContext",
     "Span",
-    "NullTracer",
-    "NULL_TRACER",
     "start_worker_span",
     "TraceRecorder",
     "chrome_trace_events",

@@ -16,19 +16,17 @@ reports into it, which is exactly what an operator scraping ``GET
 
 Instruments come in *families* keyed by a fixed tuple of label names
 (``repro_http_requests_total{method,route,status}``); bare instruments
-are single-child families with no labels.  The registry renders the
-Prometheus text exposition format (:meth:`MetricsRegistry.render_prometheus`)
-and a compact JSON snapshot (:meth:`MetricsRegistry.snapshot`), and keeps
-a windowed time-series ring per family (:meth:`MetricsRegistry.record_window`
-/ :meth:`MetricsRegistry.rate`) so dashboards can show rates without
-storing history client-side.
+are single-child families with no labels.  The registry's one output is
+the Prometheus text exposition format
+(:meth:`MetricsRegistry.render_prometheus`); rates and quantiles are the
+scraper's business (``repro-dvfs top`` derives both from successive
+scrapes).
 
-Disabled metrics follow the ``NULL_PROBE`` contract: hold
-:data:`NULL_METRICS` (``enabled`` False) and gate every instrumentation
-site on ``metrics.enabled`` (or resolve instruments to ``None`` up
-front), so the disabled path makes **zero** calls into this module --
-the ``sys.setprofile`` guard in ``tests/obs/test_overhead.py`` enforces
-it the same way it does for the probe bus.
+Disabled metrics are ``None``: instrumented code takes
+``metrics: Optional[MetricsRegistry] = None`` and resolves its
+instruments once, at construction, so the disabled path makes **zero**
+calls into this module -- the ``sys.setprofile`` guards in
+``tests/obs/test_overhead.py`` enforce it.
 """
 
 from __future__ import annotations
@@ -37,8 +35,7 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union, cast
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union, cast
 
 #: default latency buckets, in seconds (Prometheus client conventions).
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -139,41 +136,6 @@ class LatencyHistogram:
             out.append(running)
         return out
 
-    def quantile(self, q: float) -> float:
-        """Estimate the q-quantile by linear interpolation within the
-        bucket holding it (the standard Prometheus ``histogram_quantile``
-        estimate); 0.0 with no observations."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        cumulative = self.cumulative()
-        for index, cum in enumerate(cumulative):
-            if cum >= rank:
-                if index == len(self.bounds):
-                    return self.bounds[-1]  # overflow bucket: clamp
-                lower = self.bounds[index - 1] if index else 0.0
-                upper = self.bounds[index]
-                prev_cum = cumulative[index - 1] if index else 0
-                in_bucket = cum - prev_cum
-                if in_bucket == 0:
-                    return upper
-                return lower + (upper - lower) * (rank - prev_cum) / in_bucket
-        return self.bounds[-1]
-
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "buckets": {
-                _format_bound(bound): cum
-                for bound, cum in zip(
-                    self.bounds + (math.inf,), self.cumulative()
-                )
-            },
-        }
-
 
 Instrument = Union[Counter, Gauge, LatencyHistogram]
 
@@ -203,7 +165,6 @@ class MetricFamily:
         self.label_names = label_names
         self.buckets = buckets
         self.children: Dict[Tuple[str, ...], Instrument] = {}
-        self.window: Deque[Tuple[float, float]] = deque(maxlen=256)
         self._lock = threading.Lock()
 
     def _new_child(self) -> Instrument:
@@ -223,14 +184,6 @@ class MetricFamily:
                 if child is None:
                     child = self.children[key] = self._new_child()
         return child
-
-    def total(self) -> float:
-        """The family-wide scalar the window ring records: summed counter
-        values, summed gauge values, summed histogram counts."""
-        values = list(self.children.values())
-        if self.kind == "histogram":
-            return float(sum(cast(LatencyHistogram, c).count for c in values))
-        return float(sum(cast(Union[Counter, Gauge], c).value for c in values))
 
 
 class CounterFamily(MetricFamily):
@@ -267,14 +220,9 @@ class HistogramFamily(MetricFamily):
 
 
 class MetricsRegistry:
-    """Process-wide metric store with Prometheus + JSON rendering."""
+    """Process-wide metric store with Prometheus text rendering."""
 
-    enabled = True
-
-    def __init__(self, ring_size: int = 256) -> None:
-        if ring_size <= 1:
-            raise ValueError("ring_size must be > 1")
-        self.ring_size = ring_size
+    def __init__(self) -> None:
         self._families: "Dict[str, MetricFamily]" = {}
         self._lock = threading.Lock()
 
@@ -302,7 +250,6 @@ class MetricsRegistry:
                     )
                 return family
             family = cls(name, help_text, label_names, buckets)
-            family.window = deque(maxlen=self.ring_size)
             self._families[name] = family
             return family
 
@@ -351,44 +298,6 @@ class MetricsRegistry:
     ) -> LatencyHistogram:
         return self.histogram_family(name, help_text, (), buckets).labels()
 
-    @property
-    def family_count(self) -> int:
-        return len(self._families)
-
-    def families(self) -> List[MetricFamily]:
-        return list(self._families.values())
-
-    # -- windowed time series ------------------------------------------
-
-    def record_window(self, t_s: float) -> None:
-        """Append one ``(t_s, family_total)`` sample per family to the
-        ring buffers; call periodically (the serve layer samples every
-        couple of seconds)."""
-        with self._lock:
-            families = list(self._families.values())
-        for family in families:
-            family.window.append((float(t_s), family.total()))
-
-    def window(self, name: str) -> List[Tuple[float, float]]:
-        family = self._families.get(name)
-        return list(family.window) if family is not None else []
-
-    def rate(self, name: str, window_s: float = 60.0) -> float:
-        """Per-second delta of ``name``'s family total over (at most) the
-        trailing ``window_s`` of ring samples; 0.0 without two samples."""
-        samples = self.window(name)
-        if len(samples) < 2:
-            return 0.0
-        t_last, v_last = samples[-1]
-        t_first, v_first = samples[0]
-        for t_s, value in samples:
-            if t_s >= t_last - window_s:
-                t_first, v_first = t_s, value
-                break
-        if t_last <= t_first:
-            return 0.0
-        return (v_last - v_first) / (t_last - t_first)
-
     # -- rendering -----------------------------------------------------
 
     def render_prometheus(self) -> str:
@@ -426,139 +335,6 @@ class MetricsRegistry:
                     )
         return "\n".join(lines) + "\n" if lines else ""
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Compact JSON form: one series-name -> value/summary map per kind."""
-        counters: Dict[str, float] = {}
-        gauges: Dict[str, float] = {}
-        histograms: Dict[str, Dict[str, Any]] = {}
-        with self._lock:
-            families = list(self._families.values())
-        for family in families:
-            for key in sorted(family.children):
-                child = family.children[key]
-                series = family.name + _format_labels(family.label_names, key)
-                if isinstance(child, LatencyHistogram):
-                    histograms[series] = child.summary()
-                elif isinstance(child, Counter):
-                    counters[series] = child.value
-                else:
-                    gauges[series] = cast(Gauge, child).value
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-        }
-
-
-# -- the disabled path -------------------------------------------------
-
-
-class _NullCounter:
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NullHistogram:
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-class _NullFamily:
-    __slots__ = ("_child",)
-
-    def __init__(self, child: Any) -> None:
-        self._child = child
-
-    def labels(self, **labelvalues: Any) -> Any:
-        return self._child
-
-
-class NullMetrics:
-    """The disabled registry: every accessor returns a shared no-op.
-
-    Like :class:`~repro.obs.probe.NullProbe`, holding this is safe
-    everywhere -- but hot paths must branch on :attr:`enabled` (or
-    resolve instruments to ``None`` up front) so the disabled
-    configuration never calls into this module at all.
-    """
-
-    enabled = False
-
-    _counter = _NullCounter()
-    _gauge = _NullGauge()
-    _histogram = _NullHistogram()
-
-    def counter(self, name: str, help_text: str = "") -> _NullCounter:
-        return self._counter
-
-    def gauge(self, name: str, help_text: str = "") -> _NullGauge:
-        return self._gauge
-
-    def histogram(
-        self, name: str, help_text: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> _NullHistogram:
-        return self._histogram
-
-    def counter_family(
-        self, name: str, help_text: str, labels: Sequence[str]
-    ) -> _NullFamily:
-        return _NullFamily(self._counter)
-
-    def gauge_family(
-        self, name: str, help_text: str, labels: Sequence[str]
-    ) -> _NullFamily:
-        return _NullFamily(self._gauge)
-
-    def histogram_family(
-        self, name: str, help_text: str, labels: Sequence[str],
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> _NullFamily:
-        return _NullFamily(self._histogram)
-
-    @property
-    def family_count(self) -> int:
-        return 0
-
-    def record_window(self, t_s: float) -> None:
-        pass
-
-    def window(self, name: str) -> List[Tuple[float, float]]:
-        return []
-
-    def rate(self, name: str, window_s: float = 60.0) -> float:
-        return 0.0
-
-    def render_prometheus(self) -> str:
-        return ""
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {}
-
-
-#: Shared disabled-metrics singleton; identity-comparable.
-NULL_METRICS = NullMetrics()
-
-#: What instrumented code should accept: a real or disabled registry.
-MetricsLike = Union[MetricsRegistry, NullMetrics]
-
 
 # -- formatting helpers ------------------------------------------------
 
@@ -584,8 +360,6 @@ def _format_labels(names: Tuple[str, ...], values: Tuple[str, ...]) -> str:
 
 
 def _format_bound(bound: float) -> str:
-    if math.isinf(bound):
-        return "+Inf"
     if bound == int(bound):
         return str(float(bound))
     return repr(bound)

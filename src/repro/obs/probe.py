@@ -106,9 +106,9 @@ class ProbeBus:
     # -- metric families ----------------------------------------------
 
     def count(self, name: str, value: float = 1) -> None:
-        # each ProbeBus instance is single-owner: the serve app's bus
-        # lives on the event loop, a run's bus on its executor thread;
-        # cross-context delivery goes through the EventBridge hop.
+        # each ProbeBus instance is single-owner: a run's bus lives on
+        # the thread executing that run; cross-context delivery goes
+        # through the EventBridge hop.
         self.counters[name] = self.counters.get(name, 0) + value  # statcheck: disable=LOCK001 -- single-owner bus instance
 
     def gauge(self, name: str, value: float) -> None:

@@ -15,7 +15,6 @@ just wrote.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from typing import Dict, List, Sequence
 
@@ -61,46 +60,7 @@ EVENT_SCHEMAS: Dict[str, Dict] = {
         "wall_s": _NUMBER,
         "calls": int,
     },
-    # -- serve layer (repro.serve): t_ns is wall monotonic ns since
-    # -- server start, not simulated time.
-    "serve_request": {
-        "method": str,
-        "path": str,
-        "status": int,
-        "wall_ms": _NUMBER,
-    },
-    "serve_batch_flush": {
-        "requests": int,
-        "groups": int,
-        "run_batch_calls": int,
-    },
-    "serve_sse_drop": {
-        "job": str,
-        "dropped": int,
-    },
-    "serve_metrics_scrape": {
-        "families": int,
-        "bytes": int,
-    },
-    # -- span tracing (repro.obs.spans): t_ns is the epoch wall clock the
-    # -- span started/ended at, shared across processes.
-    "span_start": {
-        "trace_id": str,
-        "span_id": str,
-        "parent_id": str,
-        "name": str,
-    },
-    "span_end": {
-        "trace_id": str,
-        "span_id": str,
-        "parent_id": str,
-        "name": str,
-        "dur_ns": _NUMBER,
-    },
 }
-
-#: trace/span identifiers are lowercase hex, 8..32 chars (os.urandom.hex()).
-_SPAN_ID = re.compile(r"^[0-9a-f]{8,64}$")
 
 _FSM_STATES = ("wait", "count_up", "count_down")
 _RECONCILE_OUTCOMES = ("single", "combine", "cancel")
@@ -159,44 +119,6 @@ def validate_event(event: Dict) -> List[str]:
         for field in ("level_trigger", "slope_trigger"):
             if event[field] not in _TRIGGERS:
                 errors.append(f"reconcile: {field} must be -1, 0 or +1")
-    if kind == "serve_request":
-        if not 100 <= event["status"] <= 599:
-            errors.append("serve_request: status must be an HTTP status code")
-        if event["wall_ms"] < 0:
-            errors.append("serve_request: wall_ms must be non-negative")
-    if kind == "serve_batch_flush":
-        for field in ("requests", "groups", "run_batch_calls"):
-            if event[field] < 0:
-                errors.append(f"serve_batch_flush: {field} must be non-negative")
-        if event["groups"] > event["requests"]:
-            errors.append("serve_batch_flush: groups cannot exceed requests")
-    if kind == "serve_sse_drop" and event["dropped"] < 1:
-        errors.append("serve_sse_drop: dropped must be positive")
-    if kind == "serve_metrics_scrape":
-        for field in ("families", "bytes"):
-            if event[field] < 0:
-                errors.append(
-                    f"serve_metrics_scrape: {field} must be non-negative"
-                )
-    if kind in ("span_start", "span_end"):
-        for field in ("trace_id", "span_id"):
-            if not _SPAN_ID.match(event[field]):
-                errors.append(
-                    f"{kind}: {field} must be 8..64 lowercase-hex chars, "
-                    f"got {event[field]!r}"
-                )
-        parent_id = event["parent_id"]
-        if parent_id and not _SPAN_ID.match(parent_id):
-            errors.append(
-                f"{kind}: parent_id must be empty or lowercase hex, "
-                f"got {parent_id!r}"
-            )
-        if parent_id == event["span_id"]:
-            errors.append(f"{kind}: a span cannot be its own parent")
-        if not event["name"]:
-            errors.append(f"{kind}: name must be non-empty")
-    if kind == "span_end" and event["dur_ns"] < 0:
-        errors.append("span_end: dur_ns must be non-negative")
     return errors
 
 

@@ -21,11 +21,11 @@ Crossing the process boundary is by value, in both directions:
 Timestamps are ``time.time_ns()`` epoch wall clocks so spans from
 different processes share an origin (modulo OS clock skew, which is
 orders of magnitude below the millisecond spans we time).  The recorder
-publishes ``span_start``/``span_end`` probe events (schema'd in
-:mod:`repro.obs.schema`) and exports finished spans as Chrome-trace
-``"X"`` (complete) events, viewable alongside the simulator's own
-traces.  Disabled tracing holds :data:`NULL_TRACER` and gates on
-``tracer.enabled``, same contract as ``NULL_PROBE``/``NULL_METRICS``.
+exports finished spans as Chrome-trace ``"X"`` (complete) events,
+viewable alongside the simulator's own traces.  Disabled tracing is
+``None``: instrumented code takes ``tracer: Optional[SpanRecorder] =
+None`` and tests ``is not None`` before every use, so the disabled path
+makes no calls into this module.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Union
-
-from repro.obs.probe import NULL_PROBE
 
 
 def new_id(nbytes: int = 8) -> str:
@@ -164,17 +162,13 @@ def start_worker_span(
 class SpanRecorder:
     """Thread-safe bounded store of finished spans, with tree queries."""
 
-    enabled = True
-
     def __init__(
         self,
-        probe: Any = NULL_PROBE,
         max_spans: int = 8192,
         clock_ns: Optional[Callable[[], int]] = None,
     ) -> None:
         if max_spans <= 0:
             raise ValueError("max_spans must be positive")
-        self._probe = probe
         self._clock_ns = clock_ns or time.time_ns
         self._lock = threading.Lock()
         self._finished: Deque[Dict[str, Any]] = deque(maxlen=max_spans)
@@ -209,15 +203,6 @@ class SpanRecorder:
         )
         with self._lock:
             self.started += 1
-        if self._probe.enabled:
-            self._probe.event(
-                "span_start",
-                span.start_ns,
-                trace_id=span.trace_id,
-                span_id=span.span_id,
-                parent_id=span.parent_id,
-                name=span.name,
-            )
         return span
 
     def record(self, payload: Mapping[str, Any]) -> None:
@@ -227,16 +212,6 @@ class SpanRecorder:
         with self._lock:
             self._finished.append(span)
             self.recorded += 1
-        if self._probe.enabled:
-            self._probe.event(
-                "span_end",
-                span.get("end_ns", 0),
-                trace_id=str(span.get("trace_id", "")),
-                span_id=str(span.get("span_id", "")),
-                parent_id=str(span.get("parent_id", "")),
-                name=str(span.get("name", "")),
-                dur_ns=span.get("dur_ns", 0),
-            )
 
     # -- queries -------------------------------------------------------
 
@@ -314,74 +289,3 @@ class SpanRecorder:
                 "recorded": self.recorded,
                 "retained": len(self._finished),
             }
-
-
-class _NullSpan:
-    """Inert span handed out by :class:`NullTracer`; safe to call, never
-    recorded.  Gated call sites should not reach it at all."""
-
-    __slots__ = ()
-
-    name = ""
-    trace_id = ""
-    span_id = ""
-    parent_id = ""
-    attrs: Dict[str, Any] = {}
-
-    @property
-    def context(self) -> SpanContext:
-        return SpanContext(trace_id="", span_id="")
-
-    def set_attr(self, key: str, value: Any) -> None:
-        pass
-
-    def end(self, end_ns: Optional[int] = None) -> Dict[str, Any]:
-        return {}
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        pass
-
-
-NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """The disabled tracer (``NULL_PROBE`` contract)."""
-
-    enabled = False
-
-    def start(
-        self,
-        name: str,
-        parent: Union[Span, SpanContext, None] = None,
-        trace_id: Optional[str] = None,
-        attrs: Optional[Dict[str, Any]] = None,
-    ) -> _NullSpan:
-        return NULL_SPAN
-
-    def record(self, payload: Mapping[str, Any]) -> None:
-        pass
-
-    def spans(self, trace_id: Optional[str] = None) -> List[Dict[str, Any]]:
-        return []
-
-    def tree(self, trace_id: str) -> List[Dict[str, Any]]:
-        return []
-
-    def chrome_events(
-        self, trace_id: Optional[str] = None
-    ) -> List[Dict[str, Any]]:
-        return []
-
-    def summary(self) -> Dict[str, int]:
-        return {"started": 0, "recorded": 0, "retained": 0}
-
-
-#: Shared disabled-tracer singleton; identity-comparable.
-NULL_TRACER = NullTracer()
-
-#: What instrumented code should accept: a real or disabled tracer.
-TracerLike = Union[SpanRecorder, NullTracer]

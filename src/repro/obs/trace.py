@@ -30,8 +30,6 @@ KIND_RECONCILE = "reconcile"
 KIND_FREQ_STEP = "freq_step"
 KIND_INTERVAL_DECISION = "interval_decision"
 KIND_PROFILE = "profile"
-KIND_SPAN_START = "span_start"
-KIND_SPAN_END = "span_end"
 
 #: Stable Chrome-trace thread ids per clock domain (+ one for non-domain
 #: events such as profile summaries).
@@ -192,23 +190,6 @@ def chrome_trace_events(events: Iterable[Dict], trace_name: str = "repro-dvfs") 
                     if k not in ("kind", "t_ns", "domain", "controller")
                 },
             })
-        elif kind == KIND_SPAN_END:
-            # a finished span (repro.obs.spans) renders as a proper
-            # duration slice; span_start events carry no duration and
-            # are skipped (the X slice covers the interval)
-            dur_ns = float(event.get("dur_ns", 0.0))
-            out.append({
-                "name": f"span:{event.get('name', '?')}",
-                "ph": "X", "ts": max(0.0, ts - dur_ns / 1000.0),
-                "dur": max(0.0, dur_ns / 1000.0),
-                "pid": _PID, "tid": _MISC_TID,
-                "args": {
-                    "trace_id": event.get("trace_id", ""),
-                    "span_id": event.get("span_id", ""),
-                    "parent_id": event.get("parent_id", ""),
-                },
-            })
-            used_tids.add(_MISC_TID)
         elif kind == KIND_PROFILE:
             out.append({
                 "name": f"profile:{event.get('phase', '?')}",

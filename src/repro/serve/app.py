@@ -16,13 +16,13 @@ asyncio application:
 * ``POST /v1/controller/step`` -- the paper's adaptive FSM as a
   stateless scorable endpoint (:func:`repro.serve.controller.score_trajectory`);
 * ``GET /v1/healthz`` / ``GET /v1/stats`` / ``GET /v1/benchmarks`` --
-  liveness, counters, and discovery.
+  liveness, job/coalescer/cache/span state, and discovery;
+* ``GET /metrics`` / ``GET /v1/spans/{id}`` -- the ops surface.
 
-Every request is observable: the dispatch wrapper publishes a
-``serve_request`` probe event per response, the coalescer publishes
-``serve_batch_flush`` per tick, and SSE consumers that fell behind the
-drop-oldest queue produce ``serve_sse_drop`` -- all three are schema'd
-in :mod:`repro.obs.schema` like any simulation event.
+Every request is observable through one instrument each: the dispatch
+wrapper counts and times it in the :class:`~repro.obs.metrics.MetricsRegistry`
+(as do the coalescer and the engines, per flush and per job), and each
+submission opens a root span in the :class:`~repro.obs.spans.SpanRecorder`.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.mcd.processor import SimulationResult
 from repro.obs.bridge import EventBridge
 from repro.obs.facade import Observability, ObsConfig
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.probe import ProbeBus
 from repro.obs.spans import Span, SpanRecorder
 from repro.serve.coalescer import RequestCoalescer
 from repro.simcore import CORES, resolve_core
@@ -97,9 +96,6 @@ class ServeConfig:
     executor_threads: int = 4
     #: default simulation core for submitted jobs (``None`` = env default).
     simcore: Optional[str] = None
-    #: seconds between metrics ring-buffer samples (rates on ``/v1/stats``
-    #: and ``repro-dvfs top``); ``0`` disables the sampler task.
-    metrics_window_s: float = 2.0
 
 
 class ServeApp:
@@ -112,14 +108,12 @@ class ServeApp:
             history_limit=self.config.history_limit,
             queue_size=self.config.queue_size,
         )
-        #: the server's own probe bus (serve_* events, request counters).
-        self.probe = ProbeBus()
         self._t0 = time.monotonic_ns()
         #: process-wide metrics registry, scraped by ``GET /metrics``.
         self.metrics = MetricsRegistry()
         #: span recorder; run/sweep submissions open root spans here and
         #: worker spans from pool processes are stitched back in.
-        self.tracer = SpanRecorder(probe=self.probe)
+        self.tracer = SpanRecorder()
         self._m_requests = self.metrics.counter_family(
             "repro_http_requests_total",
             "HTTP requests served.",
@@ -162,8 +156,6 @@ class ServeApp:
             max_delay_s=self.config.max_delay_s,
             engine_factory=self._make_engine,
             executor=self.executor,
-            probe=self.probe,
-            clock_ns=self._now_ns,
             tracer=self.tracer,
             metrics=self.metrics,
         )
@@ -171,19 +163,15 @@ class ServeApp:
             "collections.OrderedDict[str, SimulationResult]"
         ) = collections.OrderedDict()
         self._tasks: Set["asyncio.Task[None]"] = set()
-        # the window sampler never finishes on its own, so it lives
-        # outside _tasks (which stop() awaits to completion) and is
-        # cancelled explicitly during shutdown.
-        self._window_task: Optional["asyncio.Task[None]"] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self.router = Router()
         self._install_routes()
 
     # -- plumbing ------------------------------------------------------
 
-    def _now_ns(self) -> float:
-        """Monotonic wall nanoseconds since server construction."""
-        return float(time.monotonic_ns() - self._t0)
+    def _uptime_s(self) -> float:
+        """Monotonic wall seconds since server construction."""
+        return (time.monotonic_ns() - self._t0) / 1e9
 
     def _make_engine(self) -> SweepEngine:
         """A fresh engine (own telemetry) for one coalescer flush."""
@@ -230,17 +218,7 @@ class ServeApp:
             host=self.config.host,
             port=self.config.port,
         )
-        if self.config.metrics_window_s > 0:
-            self._window_task = asyncio.get_running_loop().create_task(
-                self._sample_windows()
-            )
         return server_address(self._server)
-
-    async def _sample_windows(self) -> None:
-        """Periodically snapshot family totals into the metrics rings."""
-        while True:
-            await asyncio.sleep(self.config.metrics_window_s)
-            self.metrics.record_window(self._now_ns() / 1e9)
 
     async def stop(self) -> None:
         """Graceful shutdown: stop accepting, drain, flush, release."""
@@ -248,13 +226,6 @@ class ServeApp:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._window_task is not None:
-            self._window_task.cancel()
-            try:
-                await self._window_task
-            except asyncio.CancelledError:
-                pass
-            self._window_task = None
         # flush everything the coalescer holds, then drain job tasks;
         # engines running sweeps are asked to cancel their queued jobs.
         for engine in list(self._engines):
@@ -272,7 +243,7 @@ class ServeApp:
     # -- dispatch ------------------------------------------------------
 
     async def dispatch(self, request: Request) -> AnyResponse:
-        """Route one request, timing it onto the probe bus."""
+        """Route one request, counting and timing it in the registry."""
         started = time.monotonic()
         match = self.router.resolve(request.method, request.path)
         if match.handler is None:
@@ -299,14 +270,6 @@ class ServeApp:
             method=method, route=route, status=str(response.status)
         ).inc()
         self._m_latency.labels(method=method, route=route).observe(wall_s)
-        self.probe.event(
-            "serve_request",
-            self._now_ns(),
-            method=request.method,
-            path=request.path,
-            status=response.status,
-            wall_ms=wall_s * 1e3,
-        )
         return response
 
     # -- simple endpoints ----------------------------------------------
@@ -321,23 +284,14 @@ class ServeApp:
 
     async def _handle_stats(self, request: Request) -> Response:
         payload: Dict[str, Any] = {
-            "uptime_s": self._now_ns() / 1e9,
+            "uptime_s": self._uptime_s(),
             "jobs": self.store.counts(),
             "jobs_evicted": self.store.evicted,
             "coalescer": self.coalescer.stats(),
             "results_in_memory": len(self._results),
-            "counters": dict(self.probe.counters),
         }
         if self.cache is not None:
             payload["cache"] = self.cache.stats()
-        payload["rates"] = {
-            "http_requests_per_s": self.metrics.rate(
-                "repro_http_requests_total"
-            ),
-            "coalesced_runs_per_s": self.metrics.rate(
-                "repro_serve_coalescer_batched_runs_total"
-            ),
-        }
         payload["spans"] = self.tracer.summary()
         return Response.json(payload)
 
@@ -353,14 +307,8 @@ class ServeApp:
                       JobState.FAILED):
             self._m_jobs_gauge.labels(state=state).set(counts.get(state, 0))
         self._m_results_gauge.set(len(self._results))
-        self._m_uptime.set(self._now_ns() / 1e9)
+        self._m_uptime.set(self._uptime_s())
         body = self.metrics.render_prometheus()
-        self.probe.event(
-            "serve_metrics_scrape",
-            self._now_ns(),
-            families=self.metrics.family_count,
-            bytes=len(body),
-        )
         return Response(
             200,
             body.encode("utf-8"),
@@ -579,7 +527,6 @@ class ServeApp:
             )
         )
         telemetry = RunTelemetry(listeners=[bridge.telemetry_listener()])
-        telemetry.keep_events = False
         engine = SweepEngine(
             EngineConfig(
                 workers=self.config.workers, cache_dir=self.config.cache_dir
@@ -647,12 +594,6 @@ class ServeApp:
                 yield format_sse(payload, event=event, event_id=seq)
             if queue.dropped:
                 self._m_sse_dropped.inc(queue.dropped)
-                self.probe.event(
-                    "serve_sse_drop",
-                    self._now_ns(),
-                    job=job.id,
-                    dropped=queue.dropped,
-                )
                 yield format_sse(
                     {"id": job.id, "dropped": queue.dropped}, event="drops"
                 )

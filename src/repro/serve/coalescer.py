@@ -36,8 +36,6 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.probe import NULL_PROBE
-from repro.obs.spans import NULL_TRACER, TracerLike
 from repro.simcore import run_batch
 
 if TYPE_CHECKING:
@@ -47,6 +45,7 @@ if TYPE_CHECKING:
     from repro.engine.scheduler import SweepEngine
     from repro.mcd.processor import SimulationResult
     from repro.obs.metrics import MetricsRegistry
+    from repro.obs.spans import SpanRecorder
 
 #: histogram bounds for batch sizes (a batch has >= 1 request and is
 #: capped by ``max_batch``, typically single digits)
@@ -81,9 +80,7 @@ class RequestCoalescer:
         engine_factory: "Optional[Callable[[], Optional[SweepEngine]]]" = None,
         run_batch_fn: Optional[Callable[..., "List[SimulationResult]"]] = None,
         executor: "Optional[concurrent.futures.Executor]" = None,
-        probe: Any = NULL_PROBE,
-        clock_ns: Optional[Callable[[], float]] = None,
-        tracer: TracerLike = NULL_TRACER,
+        tracer: "Optional[SpanRecorder]" = None,
         metrics: "Optional[MetricsRegistry]" = None,
     ) -> None:
         if max_batch <= 0:
@@ -95,8 +92,6 @@ class RequestCoalescer:
         self.engine_factory = engine_factory or (lambda: None)
         self.run_batch_fn = run_batch_fn or run_batch
         self.executor = executor
-        self.probe = probe
-        self.clock_ns = clock_ns or (lambda: 0.0)
         self.tracer = tracer
         self._pending: "List[Tuple[SweepJob, asyncio.Future]]" = []
         self._timer: Optional[asyncio.Task] = None
@@ -110,7 +105,7 @@ class RequestCoalescer:
         # path makes zero calls into repro.obs.metrics afterwards.
         self._m_flushes = self._m_run_batch = self._m_batched = None
         self._m_batch_size = self._m_pending_gauge = None
-        if metrics is not None and metrics.enabled:
+        if metrics is not None:
             self._m_flushes = metrics.counter(
                 "repro_serve_coalescer_flushes_total",
                 "Coalescer flush ticks.",
@@ -191,27 +186,21 @@ class RequestCoalescer:
         groups: "Dict[str, List[Tuple[SweepJob, asyncio.Future]]]" = {}
         for job, future in batch:
             groups.setdefault(group_key(job), []).append((job, future))
-        self.probe.event(
-            "serve_batch_flush",
-            self.clock_ns(),
-            requests=len(batch),
-            groups=len(groups),
-            run_batch_calls=self.run_batch_calls,
-        )
         if self._m_flushes is not None:
             self._m_flushes.inc()
             self._m_batch_size.observe(float(len(batch)))
+        tracer = self.tracer
         flush_span = None
-        if self.tracer.enabled:
-            flush_span = self.tracer.start(
+        if tracer is not None:
+            flush_span = tracer.start(
                 "coalescer.flush",
                 attrs={"requests": len(batch), "groups": len(groups)},
             )
         loop = asyncio.get_running_loop()
         for entries in groups.values():
             group_span = None
-            if flush_span is not None:
-                group_span = self.tracer.start(
+            if tracer is not None:
+                group_span = tracer.start(
                     "coalescer.run_batch",
                     parent=flush_span,
                     attrs={"runs": len(entries)},

@@ -170,20 +170,28 @@ AnyResponse = Union[Response, StreamResponse]
 Dispatch = Callable[[Request], Awaitable[AnyResponse]]
 
 
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One CRLF-terminated line; over-long lines are a :class:`BadRequest`,
+    whether past :data:`MAX_LINE_BYTES` or past the stream's own buffer
+    limit (which ``readline`` reports as ``ValueError``)."""
+    try:
+        line = await reader.readline()
+    except (asyncio.LimitOverrunError, ValueError):
+        raise BadRequest(f"{what} too long")
+    if len(line) > MAX_LINE_BYTES:
+        raise BadRequest(f"{what} too long")
+    return line
+
+
 async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     """Parse one request off ``reader``; ``None`` on clean EOF.
 
     Raises :class:`BadRequest` on malformed input and lets transport
     errors (``ConnectionResetError`` etc.) propagate to the caller.
     """
-    try:
-        line = await reader.readline()
-    except (asyncio.LimitOverrunError, ValueError):
-        raise BadRequest("request line too long", status=400)
+    line = await _read_line(reader, "request line")
     if not line:
         return None
-    if len(line) > MAX_LINE_BYTES:
-        raise BadRequest("request line too long")
     try:
         text = line.decode("latin-1").rstrip("\r\n")
         method, target, version = text.split(" ", 2)
@@ -194,13 +202,11 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
 
     headers: Dict[str, str] = {}
     for _ in range(MAX_HEADERS + 1):
-        raw = await reader.readline()
+        raw = await _read_line(reader, "header line")
         if raw in (b"\r\n", b"\n"):
             break
         if not raw:
             raise BadRequest("connection closed mid-headers")
-        if len(raw) > MAX_LINE_BYTES:
-            raise BadRequest("header line too long")
         try:
             name, _, value = raw.decode("latin-1").partition(":")
         except UnicodeDecodeError:  # pragma: no cover - latin-1 never fails

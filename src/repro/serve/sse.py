@@ -14,9 +14,9 @@ connection (which may be a slow client on a bad link).  The policy is
 **bounded, drop-oldest**: when the queue is full the oldest undelivered
 event is discarded and counted, so a slow consumer sees the most recent
 window of the stream rather than stalling the producer or growing the
-heap without bound.  Drops are surfaced to the client (a ``dropped``
-field on the terminal event) and to the server's probe bus as
-``serve_sse_drop`` events.
+heap without bound.  Drops are surfaced to the client (a ``drops``
+frame before the terminal event) and to operators as the
+``repro_serve_sse_dropped_total`` counter on ``GET /metrics``.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from repro.mcd.processor import SimulationHistory, SimulationResult
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanContext, SpanRecorder
 from repro.power.model import EnergyAccount
+from repro.serve.top import build_snapshot, parse_prometheus
 
 
 def _fake_result(job):
@@ -45,6 +46,11 @@ def _fail_on_pid(job):
     return _fake_result(job)
 
 
+def _scrape(metrics):
+    """The registry as a scraper sees it: ``{name: {labelset: value}}``."""
+    return build_snapshot(parse_prometheus(metrics.render_prometheus()))
+
+
 def _jobs(schemes, **kwargs):
     return [
         SweepJob.make("adpcm-encode", scheme=scheme, **kwargs)
@@ -64,13 +70,14 @@ class TestEngineMetrics:
             metrics=metrics,
         )
         engine.run(_jobs(("adaptive", "pid", "full-speed")))
-        snap = metrics.snapshot()
-        assert snap["counters"]['repro_engine_jobs_total{outcome="finished"}'] == 2.0
-        assert snap["counters"]['repro_engine_jobs_total{outcome="failed"}'] == 1.0
+        snap = _scrape(metrics)
+        jobs = snap["repro_engine_jobs_total"]
+        assert jobs[(("outcome", "finished"),)] == 2.0
+        assert jobs[(("outcome", "failed"),)] == 1.0
         # all accounted for: nothing left pending or in flight
-        assert snap["gauges"]["repro_engine_pending_jobs"] == 0.0
-        assert snap["gauges"]["repro_engine_inflight_jobs"] == 0.0
-        assert snap["gauges"]["repro_engine_cache_hit_ratio"] == 0.0
+        assert snap["repro_engine_pending_jobs"][()] == 0.0
+        assert snap["repro_engine_inflight_jobs"][()] == 0.0
+        assert snap["repro_engine_cache_hit_ratio"][()] == 0.0
 
     def test_retry_counter(self):
         metrics = MetricsRegistry()
@@ -87,8 +94,8 @@ class TestEngineMetrics:
         )
         (outcome,) = engine.run(_jobs(("adaptive",)))
         assert outcome.ok
-        snap = metrics.snapshot()
-        assert snap["counters"]["repro_engine_retries_total"] == 1.0
+        snap = _scrape(metrics)
+        assert snap["repro_engine_retries_total"][()] == 1.0
 
     def test_cache_hits_counted_and_ratio_set(self, tmp_path):
         metrics = MetricsRegistry()
@@ -98,16 +105,16 @@ class TestEngineMetrics:
         engine = SweepEngine(config, metrics=metrics)
         outcomes = engine.run(jobs)
         assert outcomes[0].from_cache
-        snap = metrics.snapshot()
-        assert snap["counters"]['repro_engine_jobs_total{outcome="cache_hit"}'] == 1.0
-        assert snap["gauges"]["repro_engine_cache_hit_ratio"] == 1.0
+        snap = _scrape(metrics)
+        assert snap["repro_engine_jobs_total"][(("outcome", "cache_hit"),)] == 1.0
+        assert snap["repro_engine_cache_hit_ratio"][()] == 1.0
 
     def test_instr_rate_gauge_set_after_real_run(self):
         metrics = MetricsRegistry()
         engine = SweepEngine(metrics=metrics)
         engine.run(_jobs(("adaptive",), max_instructions=2000))
-        snap = metrics.snapshot()
-        assert snap["gauges"]["repro_run_instr_per_s"] > 0.0
+        snap = _scrape(metrics)
+        assert snap["repro_run_instr_per_s"][()] > 0.0
 
     def test_disabled_metrics_resolve_no_instruments(self):
         engine = SweepEngine()

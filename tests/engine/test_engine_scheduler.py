@@ -110,6 +110,8 @@ class TestRobustness:
         engine = SweepEngine(
             EngineConfig(workers=2, retries=1), runner=_fail_on_pid
         )
+        events = []
+        engine.telemetry.add_listener(events.append)
         outcomes = engine.run(jobs)
         by_scheme = {o.job.scheme: o for o in outcomes}
         assert by_scheme["full-speed"].ok and by_scheme["adaptive"].ok
@@ -119,7 +121,7 @@ class TestRobustness:
         assert "boom" in failed.error
         assert engine.telemetry.counters[tm.JOB_RETRIED] == 1
         assert engine.telemetry.counters[tm.JOB_FAILED] == 1
-        kinds = [e.kind for e in engine.telemetry.events]
+        kinds = [e.kind for e in events]
         assert tm.JOB_FAILED in kinds and tm.SWEEP_FINISHED in kinds
 
     def test_timeout_is_enforced_retried_and_surfaced(self):
@@ -158,9 +160,11 @@ class TestRobustness:
             refuse,
         )
         engine = SweepEngine(EngineConfig(workers=4), runner=_fake_result)
+        events = []
+        engine.telemetry.add_listener(events.append)
         outcomes = engine.run(_jobs(("full-speed", "adaptive")))
         assert all(o.ok for o in outcomes)
-        kinds = [e.kind for e in engine.telemetry.events]
+        kinds = [e.kind for e in events]
         assert tm.POOL_UNAVAILABLE in kinds
 
     def test_results_raises_on_exhausted_job(self):

@@ -46,6 +46,8 @@ class TestSerialDrain:
             return run_job(job)
 
         engine.runner = runner
+        events = []
+        engine.telemetry.add_listener(events.append)
         jobs = make_jobs(5)
         outcomes = engine.run(jobs)
 
@@ -62,7 +64,7 @@ class TestSerialDrain:
         assert summary["jobs_run"] == 2
         assert summary["failures"] == 0
         # the sweep still closed out its telemetry
-        kinds = [e.kind for e in engine.telemetry.events]
+        kinds = [e.kind for e in events]
         assert kinds[-1] == tm.SWEEP_FINISHED
         assert tm.SHUTDOWN_REQUESTED in kinds
 
@@ -109,11 +111,11 @@ class TestSerialDrain:
 
     def test_request_shutdown_is_idempotent(self):
         engine = SweepEngine(EngineConfig())
+        events = []
+        engine.telemetry.add_listener(events.append)
         engine.request_shutdown()
         engine.request_shutdown()
-        events = [e for e in engine.telemetry.events
-                  if e.kind == tm.SHUTDOWN_REQUESTED]
-        assert len(events) == 1
+        assert [e.kind for e in events] == [tm.SHUTDOWN_REQUESTED]
         assert engine.shutdown_requested
 
 

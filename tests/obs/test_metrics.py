@@ -1,4 +1,4 @@
-"""MetricsRegistry behavior: instruments, families, windows, null path."""
+"""MetricsRegistry behavior: instruments, families, registration."""
 
 from __future__ import annotations
 
@@ -8,12 +8,10 @@ import pytest
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
-    NULL_METRICS,
     Counter,
     Gauge,
     LatencyHistogram,
     MetricsRegistry,
-    NullMetrics,
 )
 
 
@@ -56,21 +54,6 @@ def test_histogram_validates_bounds():
         LatencyHistogram(buckets=(1.0, float("inf")))
 
 
-def test_histogram_quantile_interpolates():
-    hist = LatencyHistogram(buckets=(1.0, 2.0))
-    for _ in range(10):
-        hist.observe(1.5)
-    # all mass in (1, 2]: the median interpolates inside that bucket
-    assert 1.0 < hist.quantile(0.5) <= 2.0
-    assert hist.quantile(0.0) >= 0.0
-    with pytest.raises(ValueError):
-        hist.quantile(1.5)
-
-
-def test_histogram_quantile_empty_is_zero():
-    assert LatencyHistogram().quantile(0.9) == 0.0
-
-
 # -- families + registry -----------------------------------------------
 
 
@@ -82,7 +65,7 @@ def test_family_children_keyed_by_label_values():
     family.labels(route="/b").inc(3)
     assert family.labels(route="/a").value == 2.0
     assert family.labels(route="/b").value == 3.0
-    assert family.total() == 5.0
+    assert len(family.children) == 2
 
 
 def test_family_rejects_wrong_label_names():
@@ -108,7 +91,7 @@ def test_reregistration_same_shape_returns_same_family():
     b = registry.counter("hits_total")
     a.inc()
     assert b.value == 1.0
-    assert registry.family_count == 1
+    assert registry.render_prometheus().count("# TYPE hits_total counter") == 1
 
 
 def test_reregistration_with_different_shape_fails():
@@ -122,11 +105,6 @@ def test_reregistration_with_different_shape_fails():
     registry.counter_family("fam", "", ("a",))
     with pytest.raises(ValueError):
         registry.counter_family("fam", "", ("b",))
-
-
-def test_registry_rejects_tiny_ring():
-    with pytest.raises(ValueError):
-        MetricsRegistry(ring_size=1)
 
 
 def test_concurrent_label_resolution_single_child():
@@ -146,83 +124,6 @@ def test_concurrent_label_resolution_single_child():
         t.join()
     assert len(family.children) == 1
     assert family.labels(k="same").value == 800.0
-
-
-# -- snapshot + windows ------------------------------------------------
-
-
-def test_snapshot_partitions_by_kind():
-    registry = MetricsRegistry()
-    registry.counter("c_total").inc(2)
-    registry.gauge("g").set(7)
-    registry.histogram("h", buckets=(1.0,)).observe(0.5)
-    registry.counter_family("f_total", "", ("k",)).labels(k="v").inc()
-    snap = registry.snapshot()
-    assert snap["counters"]["c_total"] == 2.0
-    assert snap["counters"]['f_total{k="v"}'] == 1.0
-    assert snap["gauges"]["g"] == 7.0
-    hist = snap["histograms"]["h"]
-    assert hist["count"] == 1 and hist["sum"] == 0.5
-    assert hist["buckets"]["+Inf"] == 1
-
-
-def test_window_rate_from_ring_samples():
-    registry = MetricsRegistry()
-    counter = registry.counter("ticks_total")
-    registry.record_window(0.0)
-    counter.inc(10)
-    registry.record_window(2.0)
-    assert registry.window("ticks_total") == [(0.0, 0.0), (2.0, 10.0)]
-    assert registry.rate("ticks_total") == pytest.approx(5.0)
-    assert registry.rate("unknown") == 0.0
-
-
-def test_rate_respects_window_bound():
-    registry = MetricsRegistry()
-    counter = registry.counter("ticks_total")
-    registry.record_window(0.0)
-    counter.inc(1000)
-    registry.record_window(100.0)
-    counter.inc(10)
-    registry.record_window(101.0)
-    # only the trailing 60s participates: the jump at t=100 is the start
-    assert registry.rate("ticks_total", window_s=60.0) == pytest.approx(10.0)
-
-
-def test_ring_is_bounded():
-    registry = MetricsRegistry(ring_size=4)
-    registry.counter("c_total")
-    for i in range(10):
-        registry.record_window(float(i))
-    assert len(registry.window("c_total")) == 4
-    assert registry.window("c_total")[0][0] == 6.0
-
-
-# -- the disabled path -------------------------------------------------
-
-
-def test_null_metrics_contract():
-    assert isinstance(NULL_METRICS, NullMetrics)
-    assert NULL_METRICS.enabled is False
-    assert MetricsRegistry().enabled is True
-    # every accessor works and is inert
-    NULL_METRICS.counter("a").inc()
-    NULL_METRICS.gauge("b").set(1)
-    NULL_METRICS.histogram("c").observe(0.1)
-    NULL_METRICS.counter_family("d", "", ("k",)).labels(k="v").inc()
-    NULL_METRICS.gauge_family("e", "", ("k",)).labels(k="v").dec()
-    NULL_METRICS.histogram_family("f", "", ("k",)).labels(k="v").observe(1)
-    NULL_METRICS.record_window(0.0)
-    assert NULL_METRICS.family_count == 0
-    assert NULL_METRICS.window("a") == []
-    assert NULL_METRICS.rate("a") == 0.0
-    assert NULL_METRICS.render_prometheus() == ""
-    assert NULL_METRICS.snapshot() == {}
-
-
-def test_null_family_returns_shared_children():
-    fam = NULL_METRICS.counter_family("x", "", ("k",))
-    assert fam.labels(k="a") is fam.labels(k="b")
 
 
 def test_default_buckets_are_strictly_increasing():

@@ -82,14 +82,14 @@ def test_engine_without_metrics_never_calls_metrics_or_spans():
     """The engine's metrics/tracing default path is zero-call.
 
     Instruments are resolved to ``None`` at construction and every span
-    site is gated on ``tracer.enabled``, so a default-configured engine
+    site tests ``tracer is not None``, so a default-configured engine
     run must make no calls into ``repro.obs.metrics`` or
     ``repro.obs.spans`` at all -- not even no-op ones.
     """
     from repro.engine.scheduler import SweepEngine
     from repro.engine.jobs import SweepJob
 
-    engine = SweepEngine()  # defaults: no metrics, NULL_TRACER, serial
+    engine = SweepEngine()  # defaults: no metrics, no tracer, serial
     jobs = [SweepJob.make("adpcm-encode", scheme="adaptive",
                           max_instructions=2000)]
     calls = []
@@ -138,6 +138,51 @@ def test_engine_with_metrics_does_call_into_metrics():
     finally:
         sys.setprofile(None)
     assert calls, "metered engine never entered metrics/spans -- guard broken?"
+
+
+def test_coalescer_without_obs_never_calls_into_obs():
+    """A coalescer flush built without ``tracer``/``metrics`` is zero-call.
+
+    The hook covers the loop thread (``sys.setprofile``) and the
+    executor thread the flush starts (``threading.setprofile``), so
+    both halves of a flush are checked.
+    """
+    import asyncio
+    import threading
+
+    from repro.engine.jobs import SweepJob
+    from repro.serve.coalescer import RequestCoalescer
+
+    def stub_run_batch(benchmark, seeds, **kwargs):
+        return [f"result:{seed}" for seed in seeds]
+
+    coalescer = RequestCoalescer(max_batch=2, run_batch_fn=stub_run_batch)
+    jobs = [SweepJob.make("adpcm-encode", scheme="adaptive", seed=seed)
+            for seed in (1, 2)]
+    calls = []
+
+    def tracer(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(OBS_DIR):
+            calls.append(
+                f"{os.path.basename(frame.f_code.co_filename)}:"
+                f"{frame.f_code.co_name}"
+            )
+
+    async def flush():
+        sys.setprofile(tracer)
+        threading.setprofile(tracer)
+        try:
+            return await asyncio.gather(*(coalescer.submit(j) for j in jobs))
+        finally:
+            threading.setprofile(None)
+            sys.setprofile(None)
+
+    results = asyncio.run(flush())
+    assert results == ["result:1", "result:2"]
+    assert coalescer.flushes == 1
+    assert calls == [], (
+        f"obs-less coalescer flush entered repro.obs: {sorted(set(calls))}"
+    )
 
 
 def _median_wall_s(obs, repeats: int = 3) -> float:

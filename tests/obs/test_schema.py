@@ -67,49 +67,6 @@ class TestEventValidator:
         assert validate_event(dict(GOOD_SAMPLE, custom="note")) == []
 
 
-class TestServeEvents:
-    """Schema coverage for the serving layer's event kinds."""
-
-    GOOD_REQUEST = {
-        "kind": "serve_request", "t_ns": 12.0, "method": "GET",
-        "path": "/v1/healthz", "status": 200, "wall_ms": 0.4,
-    }
-    GOOD_FLUSH = {
-        "kind": "serve_batch_flush", "t_ns": 20.0, "requests": 6,
-        "groups": 2, "run_batch_calls": 2,
-    }
-    GOOD_DROP = {
-        "kind": "serve_sse_drop", "t_ns": 30.0, "job": "run-000001",
-        "dropped": 3,
-    }
-
-    def test_valid_serve_events(self):
-        for event in (self.GOOD_REQUEST, self.GOOD_FLUSH, self.GOOD_DROP):
-            assert validate_event(event) == [], event["kind"]
-
-    def test_request_status_must_be_http(self):
-        assert validate_event(dict(self.GOOD_REQUEST, status=42))
-        assert validate_event(dict(self.GOOD_REQUEST, status="200"))
-
-    def test_request_wall_ms_non_negative(self):
-        assert validate_event(dict(self.GOOD_REQUEST, wall_ms=-0.1))
-
-    def test_flush_counts_non_negative(self):
-        assert validate_event(dict(self.GOOD_FLUSH, requests=-1))
-        assert validate_event(dict(self.GOOD_FLUSH, run_batch_calls=-1))
-
-    def test_flush_groups_bounded_by_requests(self):
-        assert validate_event(dict(self.GOOD_FLUSH, groups=7))
-
-    def test_drop_count_positive(self):
-        assert validate_event(dict(self.GOOD_DROP, dropped=0))
-
-    def test_missing_fields_rejected(self):
-        event = dict(self.GOOD_DROP)
-        del event["job"]
-        assert any("job" in p for p in validate_event(event))
-
-
 class TestChromeValidator:
     GOOD = {"name": "x", "ph": "i", "s": "t", "ts": 1.0, "pid": 1, "tid": 0}
 

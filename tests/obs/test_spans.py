@@ -1,4 +1,4 @@
-"""Span tracing: IDs, parent linkage, pickling, trees, probe events."""
+"""Span tracing: IDs, parent linkage, pickling, trees, Chrome export."""
 
 from __future__ import annotations
 
@@ -6,18 +6,13 @@ import pickle
 
 import pytest
 
-from repro.obs.probe import ProbeBus
-from repro.obs.schema import validate_event
 from repro.obs.spans import (
-    NULL_TRACER,
-    NullTracer,
     Span,
     SpanContext,
     SpanRecorder,
     new_id,
     start_worker_span,
 )
-from repro.obs.trace import chrome_trace_events
 
 
 def _recorder(**kwargs) -> SpanRecorder:
@@ -135,23 +130,6 @@ def test_ring_bound_evicts_oldest():
         SpanRecorder(max_spans=0)
 
 
-def test_probe_events_validate_against_schema():
-    bus = ProbeBus()
-    events = []
-    bus.add_sink(events.append)
-    recorder = SpanRecorder(probe=bus)
-    root = recorder.start("root")
-    recorder.start("child", parent=root).end()
-    root.end()
-    kinds = [e["kind"] for e in events]
-    assert kinds.count("span_start") == 2
-    assert kinds.count("span_end") == 2
-    for event in events:
-        assert validate_event(event) == [], (
-            f"span probe event fails schema: {event}"
-        )
-
-
 def test_chrome_events_one_slice_per_span_with_pid_tracks():
     recorder = _recorder()
     root = recorder.start("root")
@@ -169,36 +147,6 @@ def test_chrome_events_one_slice_per_span_with_pid_tracks():
     assert worker["tid"] != local["tid"], "distinct pids get distinct tracks"
     assert worker["dur"] == pytest.approx(0.3)  # 300ns -> 0.3us
     assert worker["args"]["trace_id"] == root.trace_id
-
-
-def test_span_end_probe_events_render_in_chrome_trace():
-    """The simulator-side trace writer understands span_end events too."""
-    bus = ProbeBus()
-    events = []
-    bus.add_sink(events.append)
-    recorder = SpanRecorder(probe=bus)
-    recorder.start("timed").end()
-    out = chrome_trace_events(events)
-    spans = [e for e in out if e["name"] == "span:timed"]
-    assert len(spans) == 1 and spans[0]["ph"] == "X"
-
-
-def test_null_tracer_contract():
-    assert isinstance(NULL_TRACER, NullTracer)
-    assert NULL_TRACER.enabled is False
-    assert SpanRecorder().enabled is True
-    span = NULL_TRACER.start("anything", attrs={"x": 1})
-    span.set_attr("y", 2)
-    assert span.end() == {}
-    with NULL_TRACER.start("ctx"):
-        pass
-    NULL_TRACER.record({"name": "ignored"})
-    assert NULL_TRACER.spans() == []
-    assert NULL_TRACER.tree("t") == []
-    assert NULL_TRACER.chrome_events() == []
-    assert NULL_TRACER.summary() == {
-        "started": 0, "recorded": 0, "retained": 0,
-    }
 
 
 def test_span_to_dict_before_end_uses_start():

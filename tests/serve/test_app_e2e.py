@@ -17,6 +17,7 @@ from repro.harness.persistence import result_to_dict
 from repro.serve.app import ServeConfig
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.testing import BackgroundServer
+from repro.serve.top import build_snapshot, parse_prometheus
 
 INSTRUCTIONS = 1500
 BENCH = "adpcm-encode"
@@ -301,5 +302,10 @@ class TestObservability:
     def test_serve_requests_are_counted(self, client):
         client.health()
         stats = client.stats()
-        assert stats["counters"]["events.serve_request"] >= 2
+        snap = build_snapshot(parse_prometheus(client.metrics_text()))
+        by_route = {}
+        for labels, value in snap["repro_http_requests_total"].items():
+            route = dict(labels)["route"]
+            by_route[route] = by_route.get(route, 0) + value
+        assert by_route["/v1/healthz"] >= 1 and by_route["/v1/stats"] >= 1
         assert stats["uptime_s"] > 0

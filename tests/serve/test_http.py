@@ -62,6 +62,11 @@ class TestReadRequest:
             b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
             b"POST /x HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
             b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
+            # past the stream's 64 KiB buffer limit, not just MAX_LINE_BYTES
+            pytest.param(
+                b"GET /x HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+                id="header-over-stream-limit",
+            ),
         ],
     )
     def test_malformed_requests_raise(self, raw):

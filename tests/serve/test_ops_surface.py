@@ -29,9 +29,7 @@ BENCH = "adpcm-encode"
 
 @pytest.fixture(scope="module")
 def server():
-    config = ServeConfig(
-        port=0, max_batch=4, max_delay_s=0.02, metrics_window_s=0.1
-    )
+    config = ServeConfig(port=0, max_batch=4, max_delay_s=0.02)
     with BackgroundServer(config) as background:
         yield background
 
@@ -124,11 +122,18 @@ class TestMetricsEndpoint:
         ]
         assert done and done[0] >= 1
 
-    def test_scrape_emits_probe_event_and_stats_rates(self, client):
+    def test_scrapes_are_counted_as_requests(self, client):
         client.metrics_text()
+        snap = build_snapshot(parse_prometheus(client.metrics_text()))
+        scrapes = [
+            v for labels, v in snap["repro_http_requests_total"].items()
+            if dict(labels) == {"method": "GET", "route": "/metrics",
+                                "status": "200"}
+        ]
+        # the first scrape is counted by the time the second renders
+        assert scrapes and scrapes[0] >= 1
         stats = client.stats()
-        assert stats["counters"]["events.serve_metrics_scrape"] >= 1
-        assert "http_requests_per_s" in stats["rates"]
+        assert "counters" not in stats and "rates" not in stats
         assert stats["spans"]["recorded"] >= 0
 
 
