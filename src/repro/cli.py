@@ -254,7 +254,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     import os
 
-    from repro.obs import ObsConfig, Observability, validate_trace_files
+    from repro.obs import ObsConfig, Observability
+    from repro.obs.schema import validate_trace_files
 
     obs = Observability(
         ObsConfig(ring_size=args.ring, sample_stride=args.stride)
@@ -554,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check_p = sub.add_parser(
         "check",
-        help="statcheck static analysis (determinism / cache-key / "
+        help="statcheck static analysis (determinism / concurrency / "
              "pool-safety / probe-schema invariants)",
     )
     from repro.statcheck import cli as statcheck_cli

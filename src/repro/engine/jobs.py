@@ -52,7 +52,7 @@ class SweepJob:
     #: boundary).  Deliberately NOT in canonical_dict(): span ids are
     #: random per submission and cannot affect simulation outcomes, so
     #: keying on them would break content-addressed cache hits.
-    span: Optional[SpanContext] = None  # statcheck: disable=CACHE001 -- observability-only; random per submission, must not enter the cache key
+    span: Optional[SpanContext] = None
 
     @staticmethod
     def make(

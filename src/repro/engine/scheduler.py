@@ -46,7 +46,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    TypeVar,
 )
 
 from repro.engine import cache as result_cache
@@ -163,53 +162,6 @@ def _pool_entry(
 
 #: what a pooled job ships home: the result plus its optional worker span.
 _PoolResult = Tuple[SimulationResult, Optional[Dict[str, Any]]]
-
-_ItemT = TypeVar("_ItemT")
-_ResultT = TypeVar("_ResultT")
-
-
-def pooled_map(
-    fn: Callable[[_ItemT], _ResultT],
-    items: Sequence[_ItemT],
-    workers: int = 1,
-) -> List[_ResultT]:
-    """Map ``fn`` over ``items`` on a process pool, in input order.
-
-    The engine's generic parallel map, with the same degradation
-    contract as :class:`SweepEngine`: ``workers <= 1`` (or a single
-    item) runs serially in-process, and a pool that cannot be created
-    or breaks mid-run falls back to serial execution for whatever is
-    left.  ``fn`` and every item must be picklable in the pooled case;
-    exceptions raised by ``fn`` propagate to the caller either way.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    results: List[Optional[_ResultT]] = [None] * len(items)
-    done_flags = [False] * len(items)
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(items))
-        ) as executor:
-            futures = {
-                executor.submit(fn, item): index
-                for index, item in enumerate(items)
-            }
-            for future in concurrent.futures.as_completed(futures):
-                index = futures[future]
-                results[index] = future.result()
-                done_flags[index] = True
-    except (
-        BrokenProcessPool,
-        OSError,
-        ImportError,
-        NotImplementedError,
-    ):
-        for index, item in enumerate(items):
-            if not done_flags[index]:
-                results[index] = fn(item)
-                done_flags[index] = True
-    return [results[index] for index in range(len(items))]  # type: ignore[misc]
 
 
 class SweepEngine:

@@ -109,7 +109,7 @@ class ProbeBus:
         # each ProbeBus instance is single-owner: a run's bus lives on
         # the thread executing that run; cross-context delivery goes
         # through the EventBridge hop.
-        self.counters[name] = self.counters.get(name, 0) + value  # statcheck: disable=LOCK001 -- single-owner bus instance
+        self.counters[name] = self.counters.get(name, 0) + value
 
     def gauge(self, name: str, value: float) -> None:
         self.gauges[name] = value

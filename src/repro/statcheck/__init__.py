@@ -1,10 +1,10 @@
 """`statcheck`: AST-based invariant analysis for this repository.
 
 The paper's headline numbers are only reproducible if every simulation
-run is bit-deterministic and every sweep-cache hit is genuinely
-equivalent to a recompute.  Those invariants -- seeded randomness, no
-wall-clock reads in simulated code, complete cache keys, picklable pool
-payloads, schema'd probe events -- are exactly the kind of thing a
+run is bit-deterministic and the service around the simulator keeps its
+concurrency contracts.  Those invariants -- seeded randomness, no
+wall-clock reads in simulated code, picklable pool payloads, schema'd
+probe events, nothing blocking the event loop -- are the kind of thing a
 conventional linter cannot express, so this package ships a small
 static-analysis framework with codebase-specific rules:
 
@@ -18,45 +18,45 @@ DET002    error     no wall-clock reads (``time.time``, ``perf_counter``,
 DET003    error     no iteration over unordered sets in code that feeds
                     hashes or cache keys
 CTL001    error     no float ``==`` / ``!=`` in controller/FSM decision code
-CACHE001  error     every ``SweepJob`` field appears in the
-                    ``canonical_dict()`` cache-key derivation
 POOL001   error     no lambdas or local functions submitted to process pools
 OBS001    error     every emitted probe event kind has a registered schema in
                     ``repro.obs.schema`` -- and no schema is orphaned
 PERF001   error     no fresh container allocations inside simulator hot loops
-PY001     error     no mutable default arguments
 PY002     error     no bare/overbroad ``except`` that silently swallows errors
 UNIT001   error     no mixed physical units in arithmetic (ns vs GHz vs V);
                     period/frequency conversions must go through ``1/f``
-SIM001    error     every state attribute the reference ``MCDProcessor`` hot
-                    path assigns must be carried by the ``Fast*`` core
-RACE001   error     no module-level mutable state mutated in code reachable
-                    from process-pool worker entry points
+ASYNC001  error     no blocking calls reachable from coroutine bodies
+ASYNC002  error     ``create_task`` handles are retained, not dropped
+ASYNC003  error     loop-confined classes are not called from threads/pools
+LOCK001   error     attributes written from two execution contexts hold a lock
+MET001    error     metrics label values have statically bounded cardinality
 ========  ========  ==========================================================
 
-``UNIT001``/``SIM001``/``RACE001`` are built on the semantic layer
-(:mod:`~repro.statcheck.semantic` symbol table,
-:mod:`~repro.statcheck.dataflow` def-use walker,
-:mod:`~repro.statcheck.callgraph` call graph); ``SUP001`` is reserved
-for unjustified suppressions under ``--require-justification`` and
-``E001`` for files that fail to parse.
+``UNIT001`` runs on :mod:`~repro.statcheck.dataflow`'s forward walker;
+the ``ASYNC*``/``LOCK001`` rules query the execution-context model in
+:mod:`~repro.statcheck.concurrency`, built on the
+:mod:`~repro.statcheck.semantic` symbol table and the
+:mod:`~repro.statcheck.callgraph` call graph.  ``SUP001`` is reserved
+for suppressions without a justification and ``E001`` for files that
+fail to parse.  Properties a dynamic test already checks (cache-key
+completeness, ref/fast core parity, pool-versus-serial results, span
+recording) are left to those tests; DESIGN.md section 6c maps each
+retired rule to the test that covers it.
 
-Findings can be suppressed inline::
+Findings can be suppressed inline, with a reason after ``--``::
 
     risky_call()  # statcheck: disable=DET002 -- justification here
 
 or for a whole file with ``# statcheck: disable-file=RULE`` on any line.
-Run it as ``repro-dvfs check [paths]`` or ``python -m repro.statcheck``;
-exit status is 0 (clean), 1 (findings), or 2 (usage error or analyzer
-crash), so CI can tell a red build from a broken analyzer.
+A pragma without a reason is itself a ``SUP001`` finding.  Run it as
+``repro-dvfs check [paths]`` or ``python -m repro.statcheck``; exit
+status is 0 (clean), 1 (findings), or 2 (usage error or analyzer crash),
+so CI can tell a red build from a broken analyzer.
 
-Beyond one-shot runs, the CLI supports a per-module result cache with
-dependency-aware invalidation (on by default; ``--jobs N`` analyzes
-cache misses in parallel, ``--no-incremental`` disables it), a ratchet
-baseline (``--write-baseline`` / ``--baseline`` grandfather existing
-findings so only *new* ones fail), ``--changed-only BASE`` to scope
-per-file rules to the files changed since a git ref, and
-``--require-justification`` to fail suppressions without a reason.
+Runs use a per-module result cache with dependency-aware invalidation
+(``--no-incremental`` disables it): a warm run re-checks only the
+changed modules and the modules that import them, and reports on the
+whole tree.
 """
 
 from repro.statcheck.engine import (

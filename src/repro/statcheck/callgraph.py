@@ -8,11 +8,10 @@ SymbolTable`; edges are added for the call shapes this codebase uses:
 * **method calls** -- ``self.method(x)`` / ``cls.method(x)`` resolved
   against the enclosing class and its project-resolvable bases;
 * **pool submissions** -- ``executor.submit(fn, ...)`` and friends (see
-  :data:`~repro.statcheck.astutil.SUBMIT_METHODS`), plus calls to the
-  engine's :func:`repro.engine.scheduler.pooled_map`.  Any argument that
+  :data:`~repro.statcheck.astutil.SUBMIT_METHODS`).  Any argument that
   statically resolves to a project function gets a call edge *and* is
   recorded as a **worker entry point**: it runs inside a pool worker
-  process, which is what the RACE001 shared-state rule keys on;
+  process, the root of the context model's *pool* context;
 * **concurrency hops** (PR 8) -- the asyncio/threading shapes the serve
   layer is built from, each with its own edge kind so context-sensitive
   reachability (:mod:`repro.statcheck.concurrency`) can follow or prune
@@ -61,10 +60,6 @@ from repro.statcheck.semantic import (
     FunctionInfo,
     SymbolTable,
 )
-
-#: Plain functions that forward their callable argument into pool
-#: workers (the sweep engine's generic parallel map).
-POOLED_MAP_NAMES = frozenset({"pooled_map"})
 
 #: ``X.create_task(coro)`` / ``X.ensure_future(coro)`` -- the coroutine
 #: is scheduled onto the event loop.  The attribute names are specific
@@ -133,7 +128,6 @@ class CallGraph:
         self.table = table
         self.resolver = resolver
         self.edges: List[CallEdge] = []
-        self.successors: Dict[str, Set[str]] = {}
         #: caller -> [(callee, kind)] for kind-filtered traversal
         self.kinded_successors: Dict[str, List[Tuple[str, str]]] = {}
         #: qualnames of functions that execute inside pool workers
@@ -156,7 +150,6 @@ class CallGraph:
         self.edges.append(
             CallEdge(caller=caller, callee=callee, line=line, kind=kind)
         )
-        self.successors.setdefault(caller, set()).add(callee)
         self.kinded_successors.setdefault(caller, []).append((callee, kind))
         if kind == "pool":
             self.worker_entries.add(callee)
@@ -208,10 +201,13 @@ class CallGraph:
         claimed: Set[int],
     ) -> None:
         """Edge for a callable/coroutine passed *as an argument* (the
-        executor/thread/loop/task shapes).  ``functools.partial(f, ...)``
-        unwraps to ``f``; a coroutine-producing call ``f(...)`` resolves
-        through its own callee and is claimed so the generic pass does
-        not add a second (wrong-kind) edge for it."""
+        pool/executor/thread/loop/task shapes).  ``functools.partial(f,
+        ...)`` unwraps to ``f``.  For ``task`` and ``loop`` edges a call
+        ``f(...)`` is the coroutine, so it resolves through its own callee
+        and is claimed so the generic pass does not add a second
+        (wrong-kind) edge for it.  For the other kinds a call argument
+        runs in the submitter (``pool.submit(work, helper(x))``), so it is
+        left to the generic pass."""
         if arg is None:
             return
         if isinstance(arg, ast.Call):
@@ -220,6 +216,8 @@ class CallGraph:
                 claimed.add(id(arg))
                 if arg.args:
                     self._callable_arg_edge(fn, arg.args[0], line, kind, claimed)
+                return
+            if kind not in ("task", "loop"):
                 return
             target = self._resolve_callable_ref(fn, arg.func)
             if target is not None:
@@ -245,18 +243,13 @@ class CallGraph:
             line = getattr(node, "lineno", fn.node.lineno)
             if id(node) in claimed:
                 continue
-            # pool submissions: every statically-resolvable argument
-            # crosses into a worker process
-            is_submit = is_pool_submit(node)
-            func_name = dotted_name(node.func)
-            is_pooled_map = func_name is not None and (
-                func_name in POOLED_MAP_NAMES
-                or func_name.rsplit(".", 1)[-1] in POOLED_MAP_NAMES
-            )
-            if is_submit or is_pooled_map:
+            # pool submissions: every statically-resolvable callable
+            # argument crosses into a worker process
+            if is_pool_submit(node):
                 for arg in node.args:
                     self._callable_arg_edge(fn, arg, line, "pool", claimed)
                 continue
+            func_name = dotted_name(node.func)
             resolved = resolve_call(node.func, imports)
             # executor dispatch: loop.run_in_executor(pool, fn, *args)
             if (
@@ -338,30 +331,16 @@ class CallGraph:
 
     # -- queries --------------------------------------------------------
 
-    def reachable(self, roots: Iterable[str]) -> Dict[str, str]:
-        """Every qualname reachable from ``roots`` (inclusive), mapped to
-        the root it was first reached from (BFS order, deterministic)."""
-        origin: Dict[str, str] = {}
-        queue: List[Tuple[str, str]] = [(root, root) for root in sorted(roots)]
-        while queue:
-            current, root = queue.pop(0)
-            if current in origin:
-                continue
-            origin[current] = root
-            for succ in sorted(self.successors.get(current, ())):
-                if succ not in origin:
-                    queue.append((succ, root))
-        return origin
-
     def reachable_via(
         self,
         roots: Iterable[str],
         kinds: FrozenSet[str],
         enter: Optional[Callable[[str], bool]] = None,
     ) -> Dict[str, str]:
-        """Kind-filtered reachability: like :meth:`reachable`, but only
-        follows edges whose kind is in ``kinds``, and (when ``enter`` is
-        given) only enters callees for which ``enter(qualname)`` holds --
+        """Every qualname reachable from ``roots`` (inclusive) along edges
+        whose kind is in ``kinds``, mapped to the root it was first
+        reached from (BFS order, deterministic).  When ``enter`` is given,
+        only callees for which ``enter(qualname)`` holds are entered --
         how the context model keeps a thread traversal from walking into
         coroutine bodies it cannot execute."""
         origin: Dict[str, str] = {}
@@ -382,7 +361,3 @@ class CallGraph:
                     continue
                 queue.append((callee, root))
         return origin
-
-    def worker_reachable(self) -> Dict[str, str]:
-        """Functions that may execute inside a pool worker process."""
-        return self.reachable(self.worker_entries)

@@ -16,12 +16,10 @@ from __future__ import annotations
 import argparse
 import collections
 import os
-import subprocess
 import sys
 import time
 from typing import List, Optional
 
-from repro.statcheck.baseline import Baseline
 from repro.statcheck.engine import AnalysisReport, Analyzer
 from repro.statcheck.incremental import IncrementalAnalyzer
 from repro.statcheck.registry import all_rules
@@ -80,37 +78,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the rule catalog and exit",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="ratchet mode: findings recorded in FILE are grandfathered "
-        "(reported in the summary, not as findings); only new findings "
-        "fail the run",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="record the current findings as the baseline in FILE and "
-        "exit 0 (explicit regeneration; the baseline never grows "
-        "implicitly)",
-    )
-    parser.add_argument(
-        "--changed-only",
-        default=None,
-        metavar="BASE",
-        help="run per-file rules only on files changed since git ref BASE "
-        "(cross-module rules still see the whole project)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyze cache-missed files on N worker processes "
-        "(default: 1, serial)",
-    )
-    parser.add_argument(
         "--no-incremental",
         action="store_true",
         help="disable the per-module result cache",
@@ -120,12 +87,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_CACHE_FILE,
         metavar="FILE",
         help=f"incremental-cache location (default: {DEFAULT_CACHE_FILE})",
-    )
-    parser.add_argument(
-        "--require-justification",
-        action="store_true",
-        help="fail suppressions that lack a '-- reason' justification "
-        "(reported as SUP001, never itself suppressible)",
     )
     parser.add_argument(
         "--stats",
@@ -139,78 +100,6 @@ def _split_rules(value: Optional[str]) -> Optional[List[str]]:
     if value is None:
         return None
     return [part.strip() for part in value.split(",") if part.strip()]
-
-
-def _changed_paths(base: str) -> List[str]:
-    """Python files changed since git ref ``base`` (absolute paths)."""
-    proc = subprocess.run(
-        ["git", "diff", "--name-only", base, "--"],
-        capture_output=True,
-        text=True,
-        check=False,
-    )
-    if proc.returncode != 0:
-        raise ValueError(
-            f"git diff --name-only {base} failed: {proc.stderr.strip()}"
-        )
-    return [
-        os.path.abspath(line.strip())
-        for line in proc.stdout.splitlines()
-        if line.strip().endswith(".py")
-    ]
-
-
-def _widen_changed_paths(
-    changed: List[str], roots: List[str]
-) -> List[str]:
-    """Changed files plus every project file that transitively imports a
-    changed module.
-
-    ``--changed-only`` restricts per-file rules to the changed set; a
-    file whose *dependency* changed is affected too (its import-resolved
-    facts -- call targets, class pairings, collected contracts -- were
-    computed against the old module), so the restriction follows the
-    same reverse dependency edges the incremental cache invalidates on.
-    Unparsable or out-of-project files stay exactly as git listed them.
-    """
-    import ast
-
-    from repro.statcheck.engine import _collect_paths, _module_for_path
-    from repro.statcheck.semantic import _dep_modules
-
-    try:
-        all_paths = _collect_paths(roots)
-    except (OSError, FileNotFoundError):
-        return sorted(set(changed))
-    path_by_module: dict = {}
-    trees: dict = {}
-    for path in all_paths:
-        module = _module_for_path(path)
-        path_by_module[module] = os.path.abspath(path)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                trees[module] = ast.parse(handle.read())
-        except (OSError, SyntaxError):
-            continue
-    modules = set(path_by_module)
-    dependents: dict = {}
-    for module, tree in trees.items():
-        for dep in _dep_modules(tree, module, modules):
-            dependents.setdefault(dep, set()).add(module)
-    module_by_path = {p: m for m, p in path_by_module.items()}
-    widened = set(changed)
-    queue = [
-        module_by_path[path] for path in widened if path in module_by_path
-    ]
-    seen = set(queue)
-    while queue:
-        current = queue.pop()
-        for dependent in dependents.get(current, ()):
-            if dependent not in seen:
-                seen.add(dependent)
-                queue.append(dependent)
-    widened.update(path_by_module[module] for module in seen)
-    return sorted(widened)
 
 
 def _print_stats(report: "AnalysisReport", wall_s: float) -> None:
@@ -246,40 +135,20 @@ def run(args: argparse.Namespace) -> int:
     started = time.monotonic()
     try:
         paths = args.paths or default_paths()
-        per_file_paths = (
-            _widen_changed_paths(_changed_paths(args.changed_only), paths)
-            if args.changed_only is not None
-            else None
-        )
         analyzer = Analyzer(
             select=_split_rules(args.select),
             ignore=_split_rules(args.ignore),
-            require_justification=args.require_justification,
-            per_file_paths=per_file_paths,
         )
-        if args.no_incremental or per_file_paths is not None:
+        if args.no_incremental:
             report = analyzer.analyze_paths(paths)
         else:
             report = IncrementalAnalyzer(
-                analyzer, cache_path=args.cache_file, jobs=args.jobs
+                analyzer, cache_path=args.cache_file
             ).analyze_paths(paths)
     except (ValueError, OSError) as exc:
         # bad rule selection or unreadable input: usage error, not findings
         print(f"statcheck: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-    if args.write_baseline is not None:
-        Baseline.from_findings(report.findings).dump(args.write_baseline)
-        print(
-            f"statcheck: wrote baseline with {len(report.findings)} "
-            f"finding(s) to {args.write_baseline}"
-        )
-        return EXIT_CLEAN
-
-    if args.baseline is not None:
-        screened = Baseline.load(args.baseline).screen(report.findings)
-        report.findings = screened.new
-        report.baseline = dict(screened.to_dict())
 
     if args.stats:
         _print_stats(report, time.monotonic() - started)

@@ -8,7 +8,7 @@ The serve layer (PRs 6-7) runs one program in three execution contexts:
 * **threads** -- ``threading.Thread(target=...)`` bodies and callables
   dispatched through ``loop.run_in_executor``;
 * **pool workers** -- callables crossing ``executor.submit`` /
-  ``pooled_map`` into worker processes (the RACE001 model).
+  ``pool.map`` into worker processes.
 
 The concurrency rules (ASYNC001/003, LOCK001) are all *reachability
 questions over contexts*: "can a blocking call execute on the loop",
@@ -54,11 +54,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.statcheck.astutil import dotted_name, walk_scope
 from repro.statcheck.callgraph import CallGraph
 from repro.statcheck.engine import Project, SourceFile
-from repro.statcheck.semantic import (
-    ClassInfo,
-    FunctionInfo,
-    SymbolTable,
-)
+from repro.statcheck.semantic import FunctionInfo, SymbolTable
 
 # ---------------------------------------------------------------------------
 # blocking-call tables (ASYNC001)

@@ -1,23 +1,16 @@
-"""Per-function dataflow: a forward abstract walker + reaching definitions.
+"""Per-function dataflow: a forward abstract walker.
 
-The semantic rules need flow-sensitive facts about local variables --
-"which assignments can reach this read" (def-use) and "what physical
-unit does this name carry here" (UNIT001).  Both are instances of a
-forward dataflow analysis over the function body, so this module ships
-one shared walker and two clients:
-
-* :class:`ForwardWalker` -- an abstract-interpretation skeleton over the
-  statement AST.  It threads an environment (``Dict[str, V]``) through
-  straight-line code, forks it at ``if``/``try``/loops and re-merges the
-  branch environments with the subclass's :meth:`merge`.  There is no
-  explicit CFG: one pass per loop body is enough for lint-grade facts
-  (the merge after the body accounts for the zero-iteration path, and a
-  second iteration could only *widen* values toward unknown -- rules
-  fail open on unknown, so skipping it can suppress, never invent, a
-  finding).
-* :class:`ReachingDefinitions` -- the classic def-use instance: the
-  environment maps each local name to the set of assignment lines that
-  may reach it; every ``Name`` load is recorded together with that set.
+UNIT001 needs flow-sensitive facts about local variables -- "what
+physical unit does this name carry here".  That is a forward dataflow
+analysis over the function body, run by :class:`ForwardWalker`, an
+abstract-interpretation skeleton over the statement AST.  It threads an
+environment (``Dict[str, V]``) through straight-line code, forks it at
+``if``/``try``/loops and re-merges the branch environments with the
+subclass's :meth:`~ForwardWalker.merge`.  There is no explicit CFG: one
+pass per loop body is enough for lint-grade facts (the merge after the
+body accounts for the zero-iteration path, and a second iteration could
+only *widen* values toward unknown -- rules fail open on unknown, so
+skipping it can suppress, never invent, a finding).
 
 Nested function/class bodies open new scopes and are deliberately not
 descended into (they are analyzed as their own functions); their *names*
@@ -27,8 +20,7 @@ are treated as ordinary assignments in the enclosing scope.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Generic, List, Optional, Tuple, TypeVar
+from typing import Dict, Generic, List, Optional, TypeVar
 
 from repro.statcheck.astutil import FUNCTION_NODES
 
@@ -172,7 +164,6 @@ class ForwardWalker(Generic[V]):
         if isinstance(stmt, ast.Return):
             if stmt.value is not None:
                 self.infer(stmt.value, env)
-            self.on_return(stmt, env)
             return env
         if isinstance(stmt, ast.Expr):
             self.infer(stmt.value, env)
@@ -200,122 +191,3 @@ class ForwardWalker(Generic[V]):
     ) -> Optional[V]:
         """Value of ``x op= e``; defaults to keeping the left value."""
         return left
-
-    def on_return(self, stmt: ast.Return, env: Dict[str, Optional[V]]) -> None:
-        """Hook invoked at every ``return`` with the environment in
-        effect there (after the value expression has been inferred).
-        Lets path-sensitive checks -- e.g. span start/end pairing --
-        observe what escapes the function on each exit path."""
-
-
-# ---------------------------------------------------------------------------
-# reaching definitions / def-use
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Use:
-    """One read of a name with the definitions that may reach it."""
-
-    name: str
-    node: ast.Name
-    reaching: FrozenSet[int]  # line numbers of candidate definitions
-
-
-@dataclass
-class DefUseResult:
-    """Def-use chains of one function scope."""
-
-    #: every name ever assigned -> all definition line numbers
-    definitions: Dict[str, List[int]] = field(default_factory=dict)
-    #: every Name load in source order
-    uses: List[Use] = field(default_factory=list)
-
-    def reaching(self, name: str, line: int) -> FrozenSet[int]:
-        """Definition lines reaching the first use of ``name`` at ``line``."""
-        for use in self.uses:
-            if use.name == name and use.node.lineno == line:
-                return use.reaching
-        return frozenset()
-
-
-class ReachingDefinitions(ForwardWalker[FrozenSet[int]]):
-    """Def-use instance of the walker: values are sets of def lines."""
-
-    def __init__(self) -> None:
-        self.result = DefUseResult()
-
-    def merge(self, a: FrozenSet[int], b: FrozenSet[int]) -> FrozenSet[int]:
-        return a | b
-
-    def assign_hook(
-        self,
-        name: str,
-        value: Optional[FrozenSet[int]],
-        node: ast.AST,
-        env: "Env[FrozenSet[int]]",
-    ) -> None:
-        line = getattr(node, "lineno", 0)
-        self.result.definitions.setdefault(name, []).append(line)
-        env[name] = frozenset({line})
-
-    def infer(
-        self, node: ast.expr, env: "Env[FrozenSet[int]]"
-    ) -> Optional[FrozenSet[int]]:
-        for child in ast.walk(node):
-            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                self.result.uses.append(
-                    Use(
-                        name=child.id,
-                        node=child,
-                        reaching=env.get(child.id, frozenset()),
-                    )
-                )
-        return None
-
-    def aug_combine(
-        self,
-        stmt: ast.AugAssign,
-        left: Optional[FrozenSet[int]],
-        right: Optional[FrozenSet[int]],
-    ) -> Optional[FrozenSet[int]]:
-        return None  # assign_hook re-seeds the def set from the new line
-
-
-def def_use(func: "ast.AST") -> DefUseResult:
-    """Compute def-use chains for one function (or module) body.
-
-    Parameters count as definitions at the ``def`` line, so a read of an
-    untouched parameter reaches exactly one definition.
-    """
-    walker = ReachingDefinitions()
-    env: Env[FrozenSet[int]] = {}
-    body: List[ast.stmt]
-    if isinstance(func, FUNCTION_NODES):
-        args = func.args
-        params = list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-        if args.vararg is not None:
-            params.append(args.vararg)
-        if args.kwarg is not None:
-            params.append(args.kwarg)
-        for param in params:
-            walker.result.definitions.setdefault(param.arg, []).append(
-                func.lineno
-            )
-            env[param.arg] = frozenset({func.lineno})
-        body = func.body
-    elif isinstance(func, ast.Module):
-        body = func.body
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"cannot analyze {type(func).__name__}")
-    walker.run(body, env)
-    return walker.result
-
-
-__all__: Tuple[str, ...] = (
-    "DefUseResult",
-    "ForwardWalker",
-    "ReachingDefinitions",
-    "Use",
-    "def_use",
-)

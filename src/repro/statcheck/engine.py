@@ -9,16 +9,16 @@ rule shapes exist:
   (a tuple of dotted package prefixes -- determinism rules only apply to
   simulation/controller packages, hygiene rules everywhere);
 * **cross-module** rules override :meth:`Rule.check_project` and see the
-  whole :class:`Project` at once (cache-key completeness, probe-schema
-  bidirectionality).
+  whole :class:`Project` at once (probe-schema bidirectionality, the
+  execution-context rules).
 
 Suppressions
 ------------
 ``# statcheck: disable=RULE[,RULE...]`` on the line a finding is
 reported at suppresses it there; ``# statcheck: disable-file=RULE`` on
 any line suppresses the rule for the whole file; ``all`` matches every
-rule.  Suppressions are expected to carry a justification after ``--``;
-the analyzer does not enforce prose, but review should.
+rule.  A suppression must carry a justification after ``--``: a bare
+pragma is itself reported as ``SUP001``, which no pragma can suppress.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ _PRAGMA = re.compile(
 
 #: Rule ID reserved for files the analyzer cannot parse at all.
 PARSE_ERROR_RULE = "E001"
-#: Rule ID reserved for suppressions without a ``-- reason`` (only
-#: emitted under ``require_justification``; never itself suppressible).
+#: Rule ID reserved for suppressions without a ``-- reason`` (never
+#: itself suppressible).
 SUPPRESSION_RULE = "SUP001"
 
 
@@ -235,8 +235,6 @@ class AnalysisReport:
     suppressed: int = 0
     #: incremental-cache statistics (hits/misses/...), when enabled
     incremental: Optional[Dict[str, object]] = None
-    #: baseline-screening statistics (new/grandfathered/stale), when used
-    baseline: Optional[Dict[str, object]] = None
 
     @property
     def ok(self) -> bool:
@@ -266,6 +264,23 @@ def _collect_paths(paths: Sequence[str]) -> List[str]:
     return collected
 
 
+def _screen(
+    findings: Iterable[Finding], files: Sequence[SourceFile]
+) -> Tuple[List[Finding], int]:
+    """Split raw findings into (kept, suppressed count) by the pragmas of
+    the file each was reported in."""
+    by_path = {file.path: file for file in files}
+    kept: List[Finding] = []
+    suppressed = 0
+    for finding in findings:
+        file = by_path.get(finding.path)
+        if file is not None and file.is_suppressed(finding.rule, finding.line):
+            suppressed += 1
+        else:
+            kept.append(finding)
+    return kept, suppressed
+
+
 class Analyzer:
     """Runs a rule set over a set of files and reports the findings."""
 
@@ -274,15 +289,7 @@ class Analyzer:
         rules: Optional[Sequence[Type[Rule]]] = None,
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
-        require_justification: bool = False,
-        per_file_paths: Optional[Iterable[str]] = None,
     ) -> None:
-        """``require_justification`` turns suppressions without a
-        ``-- reason`` into :data:`SUPPRESSION_RULE` findings (which are
-        themselves never suppressible).  ``per_file_paths`` restricts
-        *per-file* rules to those paths (the ``--changed-only`` mode);
-        cross-module rules always see the whole project.
-        """
         classes = list(rules) if rules is not None else all_rules()
         known = {cls.id for cls in classes}
         for rule_set in (select, ignore):
@@ -299,11 +306,72 @@ class Analyzer:
             dropped = set(ignore)
             classes = [cls for cls in classes if cls.id not in dropped]
         self.rules: List[Rule] = [cls() for cls in classes]
-        self.require_justification = require_justification
-        self.per_file_paths: Optional[Set[str]] = (
-            {os.path.abspath(path) for path in per_file_paths}
-            if per_file_paths is not None
-            else None
+
+    def check_file(self, file: SourceFile) -> Tuple[List[Finding], int]:
+        """The per-file pass over one module: the parse-error finding,
+        every in-scope per-file rule, the suppression filter and SUP001.
+        Returns the kept findings and the suppressed count."""
+        raw: List[Finding] = []
+        if file.parse_error is not None:
+            raw.append(
+                Finding(
+                    rule=PARSE_ERROR_RULE,
+                    severity=Severity.ERROR,
+                    path=file.path,
+                    line=1,
+                    col=0,
+                    message=f"cannot parse file: {file.parse_error}",
+                )
+            )
+        if file.tree is not None:
+            for rule in self.rules:
+                if rule.applies_to(file):
+                    raw.extend(rule.check_file(file))
+        kept, suppressed = _screen(raw, [file])
+        # emitted after suppression filtering, so a bare
+        # ``disable=all`` cannot suppress its own finding
+        kept.extend(
+            Finding(
+                rule=SUPPRESSION_RULE,
+                severity=Severity.ERROR,
+                path=file.path,
+                line=pragma.line,
+                col=0,
+                message=(
+                    f"suppression of {', '.join(pragma.rules)} carries no "
+                    "justification; append '-- <reason>' to the pragma"
+                ),
+            )
+            for pragma in file.pragmas
+            if pragma.reason is None
+        )
+        return kept, suppressed
+
+    def check_project(self, project: Project) -> Tuple[List[Finding], int]:
+        """Every cross-module rule over the whole project, suppression
+        filtered: the kept findings and the suppressed count."""
+        raw = [
+            finding
+            for rule in self.rules
+            for finding in rule.check_project(project)
+        ]
+        return _screen(raw, project.files)
+
+    def report(
+        self,
+        findings: List[Finding],
+        files_scanned: int,
+        suppressed: int,
+        incremental: Optional[Dict[str, object]] = None,
+    ) -> AnalysisReport:
+        """Sort ``findings`` and wrap them in this analyzer's report."""
+        findings.sort(key=lambda finding: finding.sort_key)
+        return AnalysisReport(
+            findings=findings,
+            files_scanned=files_scanned,
+            rules=[rule.id for rule in self.rules],
+            suppressed=suppressed,
+            incremental=incremental,
         )
 
     def analyze_paths(self, paths: Sequence[str]) -> AnalysisReport:
@@ -312,67 +380,9 @@ class Analyzer:
 
     def analyze(self, files: Sequence[SourceFile]) -> AnalysisReport:
         project = Project(files=list(files))
-        raw: List[Finding] = []
+        findings, suppressed = self.check_project(project)
         for file in project.files:
-            if file.parse_error is not None:
-                raw.append(
-                    Finding(
-                        rule=PARSE_ERROR_RULE,
-                        severity=Severity.ERROR,
-                        path=file.path,
-                        line=1,
-                        col=0,
-                        message=f"cannot parse file: {file.parse_error}",
-                    )
-                )
-        for rule in self.rules:
-            for file in project.files:
-                if file.tree is None or not rule.applies_to(file):
-                    continue
-                if (
-                    self.per_file_paths is not None
-                    and os.path.abspath(file.path) not in self.per_file_paths
-                ):
-                    continue
-                raw.extend(rule.check_file(file))
-            raw.extend(rule.check_project(project))
-
-        by_path = {file.path: file for file in project.files}
-        kept: List[Finding] = []
-        suppressed = 0
-        for finding in raw:
-            file = by_path.get(finding.path)
-            if file is not None and file.is_suppressed(
-                finding.rule, finding.line
-            ):
-                suppressed += 1
-            else:
-                kept.append(finding)
-        if self.require_justification:
-            # emitted after suppression filtering, so a bare
-            # ``disable=all`` cannot suppress its own finding
-            for file in project.files:
-                for pragma in file.pragmas:
-                    if pragma.reason is not None:
-                        continue
-                    kept.append(
-                        Finding(
-                            rule=SUPPRESSION_RULE,
-                            severity=Severity.ERROR,
-                            path=file.path,
-                            line=pragma.line,
-                            col=0,
-                            message=(
-                                f"suppression of {', '.join(pragma.rules)} "
-                                "carries no justification; append "
-                                "'-- <reason>' to the pragma"
-                            ),
-                        )
-                    )
-        kept.sort(key=lambda finding: finding.sort_key)
-        return AnalysisReport(
-            findings=kept,
-            files_scanned=len(project.files),
-            rules=[rule.id for rule in self.rules],
-            suppressed=suppressed,
-        )
+            kept, count = self.check_file(file)
+            findings.extend(kept)
+            suppressed += count
+        return self.report(findings, len(project.files), suppressed)

@@ -11,17 +11,15 @@ the common case cheap:
 * a **project entry** keyed on the shas of *all* modules (plus the rule
   signature) caches the complete report, so a fully-warm run parses
   nothing at all and just replays findings;
-* cache misses are independent per file, so with ``jobs > 1`` they are
-  analyzed in parallel via the sweep engine's
-  :func:`repro.engine.scheduler.pooled_map` -- statcheck rides the same
-  pool (and the same serial-fallback contract) as the sweeps it lints;
-* cross-module rules (SIM001, RACE001, ...) always run over the full
-  project when anything at all changed -- only the fully-warm fast path
-  skips them, and it replays their cached findings.
+* cross-module rules (OBS001, ASYNC*, LOCK001, ...) always run over the
+  full project when anything at all changed -- only the fully-warm fast
+  path skips them, and it replays their cached findings.
 
-The cache file is advisory: unreadable, stale-format, or
-differently-configured (rule selection, flags) caches are ignored and
-rewritten, never trusted.  Hit/miss statistics are surfaced in
+Misses go through the same per-file pass as a plain run
+(:meth:`Analyzer.check_file`), so a cached result is exactly what a
+recompute would report.  The cache file is advisory: unreadable,
+stale-format, or differently-configured (rule selection) caches are
+ignored and rewritten, never trusted.  Hit/miss statistics are surfaced in
 ``AnalysisReport.incremental`` for the CLI's ``--json`` output and the
 CI warm-run gate.
 """
@@ -34,22 +32,17 @@ import os
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.statcheck.engine import (
-    PARSE_ERROR_RULE,
-    SUPPRESSION_RULE,
     AnalysisReport,
     Analyzer,
     Project,
-    Rule,
     SourceFile,
     _collect_paths,
+    _module_for_path,
 )
-from repro.statcheck.findings import Finding, Severity
+from repro.statcheck.findings import Finding
 from repro.statcheck.semantic import _dep_modules
 
 _FORMAT_VERSION = 1
-
-#: (module, kept finding dicts, suppressed count) -- one per-file result
-_FileResult = Tuple[str, List[Dict[str, Any]], int]
 
 
 def _sha256(text: str) -> str:
@@ -87,102 +80,17 @@ def _tool_sig() -> str:
     return _tool_sig_cache
 
 
-def _is_per_file(rule: Rule) -> bool:
-    return type(rule).check_file is not Rule.check_file
-
-
-def _is_cross_module(rule: Rule) -> bool:
-    return type(rule).check_project is not Rule.check_project
-
-
-def _justification_findings(file: SourceFile) -> List[Finding]:
-    findings = []
-    for pragma in file.pragmas:
-        if pragma.reason is not None:
-            continue
-        findings.append(
-            Finding(
-                rule=SUPPRESSION_RULE,
-                severity=Severity.ERROR,
-                path=file.path,
-                line=pragma.line,
-                col=0,
-                message=(
-                    f"suppression of {', '.join(pragma.rules)} carries no "
-                    "justification; append '-- <reason>' to the pragma"
-                ),
-            )
-        )
-    return findings
-
-
-def _check_one_file(
-    file: SourceFile,
-    rules: Sequence[Rule],
-    require_justification: bool,
-) -> _FileResult:
-    """Per-file rule pass over one module: kept findings + suppressed count."""
-    raw: List[Finding] = []
-    if file.parse_error is not None:
-        raw.append(
-            Finding(
-                rule=PARSE_ERROR_RULE,
-                severity=Severity.ERROR,
-                path=file.path,
-                line=1,
-                col=0,
-                message=f"cannot parse file: {file.parse_error}",
-            )
-        )
-    if file.tree is not None:
-        for rule in rules:
-            if _is_per_file(rule) and rule.applies_to(file):
-                raw.extend(rule.check_file(file))
-    kept: List[Finding] = []
-    suppressed = 0
-    for finding in raw:
-        if file.is_suppressed(finding.rule, finding.line):
-            suppressed += 1
-        else:
-            kept.append(finding)
-    if require_justification:
-        kept.extend(_justification_findings(file))
-    return file.module, [finding.to_dict() for finding in kept], suppressed
-
-
-def _pool_worker(args: Tuple[str, Optional[str], Tuple[str, ...], bool]) -> _FileResult:
-    """Picklable pool entry: re-load the file and run per-file rules.
-
-    Receives primitives only (path, module override, rule ids, flag);
-    rules are re-instantiated from the registry inside the worker.
-    """
-    path, module, rule_ids, require_justification = args
-    from repro.statcheck.registry import all_rules
-
-    wanted = set(rule_ids)
-    rules = [cls() for cls in all_rules() if cls.id in wanted]
-    file = SourceFile.from_path(path, module=module)
-    return _check_one_file(file, rules, require_justification)
-
-
 class IncrementalAnalyzer:
     """Wraps an :class:`Analyzer` with the module cache described above."""
 
-    def __init__(
-        self,
-        analyzer: Analyzer,
-        cache_path: str,
-        jobs: int = 1,
-    ) -> None:
+    def __init__(self, analyzer: Analyzer, cache_path: str) -> None:
         self.analyzer = analyzer
         self.cache_path = cache_path
-        self.jobs = max(1, jobs)
 
     # -- cache plumbing -------------------------------------------------
 
     def _rules_sig(self) -> str:
         parts = sorted(rule.id for rule in self.analyzer.rules)
-        parts.append(f"require_justification={self.analyzer.require_justification}")
         parts.append(f"format={_FORMAT_VERSION}")
         parts.append(f"tool={_tool_sig()}")
         return _sha256("\n".join(parts))
@@ -252,18 +160,10 @@ class IncrementalAnalyzer:
     # -- analysis -------------------------------------------------------
 
     def analyze_paths(self, paths: Sequence[str]) -> AnalysisReport:
-        if self.analyzer.per_file_paths is not None:
-            # --changed-only narrows per-file coverage; caching those
-            # partial results would poison later full runs
-            return self.analyzer.analyze_paths(paths)
-
-        file_paths = _collect_paths(paths)
         sources: Dict[str, str] = {}
         path_for: Dict[str, str] = {}
         shas: Dict[str, str] = {}
-        from repro.statcheck.engine import _module_for_path
-
-        for path in file_paths:
+        for path in _collect_paths(paths):
             with open(path, encoding="utf-8") as handle:
                 source = handle.read()
             module = _module_for_path(path)
@@ -286,15 +186,11 @@ class IncrementalAnalyzer:
                 "hits": len(shas),
                 "misses": 0,
                 "hit_ratio": 1.0 if shas else 0.0,
-                "workers": self.jobs,
             }
-            return AnalysisReport(
-                findings=[
-                    Finding.from_dict(d) for d in project_entry["findings"]
-                ],
-                files_scanned=int(project_entry["files_scanned"]),
-                rules=[rule.id for rule in self.analyzer.rules],
-                suppressed=int(project_entry["suppressed"]),
+            return self.analyzer.report(
+                [Finding.from_dict(d) for d in project_entry["findings"]],
+                int(project_entry["files_scanned"]),
+                int(project_entry["suppressed"]),
                 incremental=stats,
             )
 
@@ -343,56 +239,16 @@ class IncrementalAnalyzer:
             else:
                 misses.append(module)
 
-        # analyze the misses, in parallel when asked to
-        if len(misses) > 1 and self.jobs > 1:
-            from repro.engine.scheduler import pooled_map
-
-            rule_ids = tuple(sorted(rule.id for rule in self.analyzer.rules))
-            work = [
-                (
-                    path_for[module],
-                    module,
-                    rule_ids,
-                    self.analyzer.require_justification,
-                )
-                for module in misses
-            ]
-            for module, findings, suppressed in pooled_map(
-                _pool_worker, work, workers=self.jobs
-            ):
-                per_file[module] = (findings, suppressed)
-        else:
-            for module in misses:
-                _, findings, suppressed = _check_one_file(
-                    by_module[module],
-                    self.analyzer.rules,
-                    self.analyzer.require_justification,
-                )
-                per_file[module] = (findings, suppressed)
+        for module in misses:
+            kept, suppressed = self.analyzer.check_file(by_module[module])
+            per_file[module] = ([f.to_dict() for f in kept], suppressed)
 
         # cross-module rules always see the whole (re-parsed) project
-        cross_raw: List[Finding] = []
-        for rule in self.analyzer.rules:
-            if _is_cross_module(rule):
-                cross_raw.extend(rule.check_project(project))
-        cross_kept: List[Finding] = []
-        suppressed_total = 0
-        by_path = {file.path: file for file in files}
-        for finding in cross_raw:
-            file = by_path.get(finding.path)
-            if file is not None and file.is_suppressed(
-                finding.rule, finding.line
-            ):
-                suppressed_total += 1
-            else:
-                cross_kept.append(finding)
-
-        findings: List[Finding] = list(cross_kept)
+        findings, suppressed_total = self.analyzer.check_project(project)
         for module in sorted(per_file):
             dicts, suppressed = per_file[module]
             findings.extend(Finding.from_dict(d) for d in dicts)
             suppressed_total += suppressed
-        findings.sort(key=lambda finding: finding.sort_key)
 
         total = hits + len(misses)
         stats = {
@@ -401,14 +257,9 @@ class IncrementalAnalyzer:
             "hits": hits,
             "misses": len(misses),
             "hit_ratio": (hits / total) if total else 0.0,
-            "workers": self.jobs,
         }
-        report = AnalysisReport(
-            findings=findings,
-            files_scanned=len(files),
-            rules=[rule.id for rule in self.analyzer.rules],
-            suppressed=suppressed_total,
-            incremental=stats,
+        report = self.analyzer.report(
+            findings, len(files), suppressed_total, incremental=stats
         )
         self._store_cache(shas, path_for, deps, per_file, report)
         return report

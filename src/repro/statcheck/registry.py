@@ -15,8 +15,8 @@ R = TypeVar("R", bound="Type[Rule]")
 def register(cls: R) -> R:
     """Class decorator adding a rule to the global registry.
 
-    IDs are stable public API (they appear in suppressions and CI
-    baselines), so re-registering an existing ID is a programming error.
+    IDs are stable public API (they appear in suppressions), so
+    re-registering an existing ID is a programming error.
     """
     rule_id = cls.id
     if not rule_id:

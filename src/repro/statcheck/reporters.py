@@ -28,12 +28,6 @@ def render_text(report: AnalysisReport) -> str:
             f" [cache: {report.incremental.get('hits', 0)} hit(s), "
             f"{report.incremental.get('misses', 0)} miss(es)]"
         )
-    if report.baseline is not None:
-        summary += (
-            f" [baseline: {report.baseline.get('new', 0)} new, "
-            f"{report.baseline.get('grandfathered', 0)} grandfathered, "
-            f"{report.baseline.get('stale_entries', 0)} stale]"
-        )
     lines.append(summary)
     return "\n".join(lines)
 
@@ -48,8 +42,6 @@ def render_json(report: AnalysisReport) -> str:
     }
     if report.incremental is not None:
         payload["incremental"] = report.incremental
-    if report.baseline is not None:
-        payload["baseline"] = report.baseline
     return json.dumps(payload, indent=2, sort_keys=True)
 
 

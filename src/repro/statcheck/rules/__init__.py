@@ -2,7 +2,6 @@
 
 from repro.statcheck.rules import (  # noqa: F401  (import-for-registration)
     asyncrules,
-    cache_key,
     control,
     determinism,
     hygiene,
@@ -11,8 +10,5 @@ from repro.statcheck.rules import (  # noqa: F401  (import-for-registration)
     obs_events,
     perf,
     pool,
-    race,
-    simcontract,
-    span_discipline,
     units,
 )

@@ -1,10 +1,9 @@
-"""General Python hygiene rules (PY001, PY002).
+"""General Python hygiene rule (PY002).
 
-These two are the classic footguns that have bitten control-loop
-reproductions specifically: a mutable default argument shared across
-controller instances couples runs that must be independent, and an
-overbroad ``except`` in the scheduler retry path turns a real defect
-into a silent retry storm.
+An overbroad ``except`` in the scheduler retry path turns a real defect
+into a silent retry storm, a classic footgun for control-loop
+reproductions.  The other one, a mutable default argument shared across
+controller instances, is ruff's B006, which CI runs over ``src``.
 """
 
 from __future__ import annotations
@@ -12,74 +11,12 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.statcheck.astutil import FUNCTION_NODES, import_map, resolve_call
 from repro.statcheck.engine import Rule, SourceFile
 from repro.statcheck.findings import Finding
 from repro.statcheck.registry import register
 
-#: Constructors of mutable containers, flagged when used as a default.
-_MUTABLE_CALLS = frozenset(
-    {
-        "bytearray",
-        "collections.OrderedDict",
-        "collections.defaultdict",
-        "collections.deque",
-        "dict",
-        "list",
-        "set",
-    }
-)
-
-_MUTABLE_LITERALS = (
-    ast.Dict,
-    ast.DictComp,
-    ast.List,
-    ast.ListComp,
-    ast.Set,
-    ast.SetComp,
-)
-
 #: Exception types too broad to swallow silently.
 _OVERBROAD = frozenset({"BaseException", "Exception"})
-
-
-@register
-class MutableDefaultRule(Rule):
-    """PY001: default argument values must be immutable."""
-
-    id = "PY001"
-    description = (
-        "no mutable default arguments; the default is evaluated once and "
-        "shared by every call -- use None and create inside the function"
-    )
-
-    def check_file(self, file: SourceFile) -> Iterator[Finding]:
-        assert file.tree is not None
-        imports = import_map(file.tree)
-        for node in ast.walk(file.tree):
-            if not isinstance(node, FUNCTION_NODES + (ast.Lambda,)):
-                continue
-            args = node.args
-            defaults = list(args.defaults) + [
-                default for default in args.kw_defaults if default is not None
-            ]
-            for default in defaults:
-                if self._is_mutable(default, imports):
-                    yield self.finding(
-                        file,
-                        default,
-                        "mutable default argument is shared across calls; "
-                        "default to None and build the container inside "
-                        "the function",
-                    )
-
-    @staticmethod
-    def _is_mutable(node: ast.AST, imports: "dict[str, str]") -> bool:
-        if isinstance(node, _MUTABLE_LITERALS):
-            return True
-        if isinstance(node, ast.Call):
-            return resolve_call(node.func, imports) in _MUTABLE_CALLS
-        return False
 
 
 @register

@@ -37,7 +37,7 @@ from repro.statcheck.findings import Finding
 from repro.statcheck.registry import register
 from repro.statcheck.semantic import FunctionInfo
 
-#: methods that mutate their receiver in place (mirrors RACE001's set)
+#: methods that mutate their receiver in place
 _MUTATING_METHODS = frozenset(
     {
         "add",

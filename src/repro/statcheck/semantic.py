@@ -1,19 +1,18 @@
 """Project-wide symbol table: the semantic layer's ground truth.
 
-The syntactic rules of PR 3 look at one AST at a time; the semantic
-rules (UNIT001/SIM001/RACE001) need to answer *project* questions --
-"which function does this call resolve to", "which module-level names
-are mutable", "what does module A import from module B".  This module
-builds that index once per analysis run:
+The syntactic rules look at one AST at a time; the context-sensitive
+rules (ASYNC*/LOCK001, via :mod:`~repro.statcheck.concurrency`) need to
+answer *project* questions -- "which function does this call resolve
+to", "what does module A import from module B".  This module builds
+that index once per analysis run:
 
 * :class:`FunctionInfo` / :class:`ClassInfo` -- every function, method
   and class in the project under a stable dotted qualname
   (``repro.engine.scheduler._pool_entry``,
   ``repro.mcd.processor.MCDProcessor._sample``);
-* :class:`ModuleInfo` -- per-module import map, top-level symbols,
-  module-level *mutable* bindings (dict/list/set/deque displays and
-  constructors), and the set of project modules it imports -- the
-  dependency edges the incremental cache invalidates along;
+* :class:`ModuleInfo` -- per-module import map, top-level symbols, and
+  the set of project modules it imports -- the dependency edges the
+  incremental cache invalidates along;
 * :class:`SymbolTable` -- the project-wide index with name resolution
   through import aliases (``from repro.engine.jobs import run_job as
   rj`` resolves ``rj`` to the ``run_job`` FunctionInfo).
@@ -27,35 +26,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.statcheck.astutil import FUNCTION_NODES, import_map
 from repro.statcheck.engine import Project, SourceFile
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-#: Constructors whose module-level result is a shared mutable container.
-_MUTABLE_CONSTRUCTORS = frozenset(
-    {
-        "dict",
-        "list",
-        "set",
-        "bytearray",
-        "collections.defaultdict",
-        "collections.deque",
-        "collections.OrderedDict",
-        "collections.Counter",
-    }
-)
-
-_MUTABLE_DISPLAYS = (
-    ast.Dict,
-    ast.List,
-    ast.Set,
-    ast.DictComp,
-    ast.ListComp,
-    ast.SetComp,
-)
 
 
 @dataclass
@@ -96,32 +72,8 @@ class ModuleInfo:
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
-    #: module-level names bound to a mutable container, with the binding node
-    mutable_globals: Dict[str, ast.AST] = field(default_factory=dict)
     #: project modules this module imports (incremental-cache dependencies)
     deps: Set[str] = field(default_factory=set)
-
-
-def _is_mutable_value(value: ast.AST, imports: Dict[str, str]) -> bool:
-    if isinstance(value, _MUTABLE_DISPLAYS):
-        return True
-    if isinstance(value, ast.Call):
-        from repro.statcheck.astutil import resolve_call
-
-        target = resolve_call(value.func, imports)
-        return target in _MUTABLE_CONSTRUCTORS
-    return False
-
-
-def _module_level_targets(stmt: ast.stmt) -> Iterator[Tuple[str, ast.AST]]:
-    """Yield ``(name, value)`` for module-level name bindings."""
-    if isinstance(stmt, ast.Assign):
-        for target in stmt.targets:
-            if isinstance(target, ast.Name):
-                yield target.id, stmt.value
-    elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-        if isinstance(stmt.target, ast.Name):
-            yield stmt.target.id, stmt.value
 
 
 def _dep_modules(
@@ -153,7 +105,7 @@ def _dep_modules(
 
 
 class SymbolTable:
-    """Project-wide index of modules, functions, classes and globals."""
+    """Project-wide index of modules, functions and classes."""
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
@@ -178,11 +130,10 @@ class SymbolTable:
         self, file: SourceFile, project_modules: Set[str]
     ) -> None:
         assert file.tree is not None
-        imports = import_map(file.tree)
         info = ModuleInfo(
             module=file.module,
             file=file,
-            imports=imports,
+            imports=import_map(file.tree),
             deps=_dep_modules(file.tree, file.module, project_modules),
         )
         for stmt in file.tree.body:
@@ -190,10 +141,6 @@ class SymbolTable:
                 self._index_function(info, stmt, class_name=None)
             elif isinstance(stmt, ast.ClassDef):
                 self._index_class(info, stmt)
-            else:
-                for name, value in _module_level_targets(stmt):
-                    if _is_mutable_value(value, imports):
-                        info.mutable_globals[name] = value
         self.modules[file.module] = info
 
     def _index_function(
@@ -287,14 +234,6 @@ class SymbolTable:
         resolved_head = info.imports.get(head, head)
         full = f"{resolved_head}.{rest}" if rest else resolved_head
         return self.classes.get(full)
-
-    def classes_named(self, name: str) -> List[ClassInfo]:
-        """Every project class with the given bare name (stable order)."""
-        return [
-            cls
-            for qualname, cls in sorted(self.classes.items())
-            if cls.name == name
-        ]
 
     def mro_methods(self, cls: ClassInfo, method: str) -> List[FunctionInfo]:
         """The method implementations ``cls`` (or a project base) provides.

@@ -1,5 +1,6 @@
 """Tests for the content-addressed result cache."""
 
+import dataclasses
 import os
 
 import pytest
@@ -13,6 +14,8 @@ from repro.engine.cache import (
 )
 from repro.engine.jobs import SweepJob, run_job
 from repro.mcd.domains import DomainId, MachineConfig
+from repro.obs import ObsConfig
+from repro.simcore import CORES, resolve_core
 
 
 #: literal keys of one tiny job per core.  Every existing cache entry is
@@ -23,6 +26,24 @@ PINNED_KEYS = {
     "ref": "bcc6fadb24edea6d8cf602800d24bd80a432b20ce1c23a18a72eee99e5bd0214",
     "fast": "62ebb3a4dd7fa7b8bb6a6585511fba449e44f49badf57d4d4ca6f9d87eedcef1",
 }
+
+
+#: one key-changing override per simulation input of the ``job`` fixture;
+#: ``benchmark`` has its own test and ``span`` must NOT change the key
+#: (tests/engine/test_engine_obs.py), so those two are the only fields
+#: test_key_cases_name_every_field lets a case list skip.
+KEY_CHANGING_CASES = [
+    dict(scheme="pid"),
+    dict(max_instructions=2000),
+    dict(seed=99),
+    dict(record_history=True),
+    dict(pid_interval_ns=100.0),
+    dict(adaptive_overrides={"delay_scale": 2.0}),
+    dict(machine=MachineConfig(rob_size=96)),
+    dict(history_stride=8),
+    dict(obs=ObsConfig()),
+    dict(simcore=next(core for core in CORES if core != resolve_core(None))),
+]
 
 
 @pytest.fixture(scope="module")
@@ -47,23 +68,19 @@ class TestCacheKey:
         assert len(key) == 64
         int(key, 16)
 
-    @pytest.mark.parametrize(
-        "other",
-        [
-            dict(scheme="pid"),
-            dict(max_instructions=2000),
-            dict(seed=99),
-            dict(record_history=True),
-            dict(pid_interval_ns=100.0),
-            dict(adaptive_overrides={"delay_scale": 2.0}),
-            dict(machine=MachineConfig(rob_size=96)),
-        ],
-    )
+    @pytest.mark.parametrize("other", KEY_CHANGING_CASES)
     def test_any_simulation_input_changes_key(self, job, other):
         kwargs = dict(scheme="adaptive", max_instructions=1500)
         kwargs.update(other)
         changed = SweepJob.make("adpcm-encode", **kwargs)
         assert job_cache_key(job) != job_cache_key(changed)
+
+    def test_key_cases_name_every_field(self):
+        """A new SweepJob field fails here until it gets a key case."""
+        named = {field for case in KEY_CHANGING_CASES for field in case}
+        assert named | {"benchmark", "span"} == {
+            field.name for field in dataclasses.fields(SweepJob)
+        }
 
     def test_different_benchmark_changes_key(self, job):
         other = SweepJob.make("gzip", scheme="adaptive", max_instructions=1500)

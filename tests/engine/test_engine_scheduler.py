@@ -217,65 +217,3 @@ class TestTimeoutHelper:
         (outcome,) = engine.run([job])
         assert "gzip/pid" in outcome.error
         assert isinstance(JobTimeoutError("x"), Exception)
-
-
-def _square(value):
-    return value * value
-
-
-def _raise_on_three(value):
-    if value == 3:
-        raise ValueError("three is right out")
-    return value
-
-
-class TestPooledMap:
-    """The generic process-pool map shared with statcheck's incremental
-    analyzer: input-order results, serial paths, and error propagation."""
-
-    def test_serial_path_preserves_order(self):
-        from repro.engine.scheduler import pooled_map
-
-        assert pooled_map(_square, [3, 1, 2], workers=1) == [9, 1, 4]
-
-    def test_single_item_stays_serial_even_with_workers(self):
-        from repro.engine.scheduler import pooled_map
-
-        assert pooled_map(_square, [7], workers=8) == [49]
-
-    def test_pooled_results_come_back_in_input_order(self):
-        from repro.engine.scheduler import pooled_map
-
-        items = list(range(20))
-        assert pooled_map(_square, items, workers=4) == [
-            i * i for i in items
-        ]
-
-    def test_empty_input(self):
-        from repro.engine.scheduler import pooled_map
-
-        assert pooled_map(_square, [], workers=4) == []
-
-    def test_exceptions_propagate_serially(self):
-        from repro.engine.scheduler import pooled_map
-
-        with pytest.raises(ValueError, match="three"):
-            pooled_map(_raise_on_three, [1, 2, 3], workers=1)
-
-    def test_exceptions_propagate_from_the_pool(self):
-        from repro.engine.scheduler import pooled_map
-
-        with pytest.raises(ValueError, match="three"):
-            pooled_map(_raise_on_three, [1, 2, 3, 4], workers=2)
-
-    def test_broken_pool_falls_back_to_serial(self, monkeypatch):
-        import repro.engine.scheduler as sched
-
-        class _NoPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no process pool on this platform")
-
-        monkeypatch.setattr(
-            sched.concurrent.futures, "ProcessPoolExecutor", _NoPool
-        )
-        assert sched.pooled_map(_square, [1, 2, 3], workers=4) == [1, 4, 9]

@@ -9,12 +9,8 @@ import pytest
 from repro.harness.experiment import run_experiment
 from repro.harness.persistence import result_from_dict, result_to_dict
 from repro.mcd.domains import DomainId
-from repro.obs import (
-    ObsConfig,
-    Observability,
-    validate_chrome_file,
-    validate_jsonl_file,
-)
+from repro.obs import ObsConfig, Observability
+from repro.obs.schema import validate_chrome_file, validate_jsonl_file
 
 
 @pytest.fixture(scope="module")

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
-from repro.obs import validate_event
-from repro.obs.schema import main as schema_main, validate_chrome_event
+import repro
+from repro.obs.schema import main as schema_main
+from repro.obs.schema import validate_chrome_event, validate_event
 
 
 GOOD_SAMPLE = {
@@ -97,3 +101,21 @@ class TestCliValidator:
         assert schema_main([str(good), str(bad)]) == 1
         assert schema_main([]) == 2
         capsys.readouterr()
+
+    def test_module_entry_point_runs_without_warnings(self, tmp_path):
+        """``python -m repro.obs.schema`` must not find the module already
+        imported by its package (runpy's RuntimeWarning), so it stays
+        clean under ``-W error``."""
+        good = tmp_path / "good.jsonl"
+        good.write_text(json.dumps(GOOD_SAMPLE) + "\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.obs.schema", str(good)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ok: 1 file(s) valid" in proc.stdout

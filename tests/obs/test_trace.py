@@ -6,12 +6,8 @@ import json
 
 import pytest
 
-from repro.obs import (
-    TraceRecorder,
-    chrome_trace_events,
-    validate_chrome_file,
-    validate_jsonl_file,
-)
+from repro.obs import TraceRecorder, chrome_trace_events
+from repro.obs.schema import validate_chrome_file, validate_jsonl_file
 
 
 def _sample_event(t_ns: float, domain: str = "int", occ: int = 3):

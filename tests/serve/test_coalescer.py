@@ -15,6 +15,7 @@ import pytest
 from repro.engine.jobs import SweepJob
 from repro.harness.experiment import run_experiment
 from repro.harness.persistence import result_to_dict
+from repro.obs.spans import SpanRecorder
 from repro.serve.coalescer import RequestCoalescer, group_key
 
 
@@ -144,6 +145,63 @@ class TestBatching:
     def test_invalid_config_rejected(self, bad):
         with pytest.raises(ValueError):
             RequestCoalescer(**bad)
+
+
+class TestSpans:
+    """Each flush records one ``coalescer.flush`` span with one
+    ``coalescer.run_batch`` child per config group."""
+
+    @staticmethod
+    def _by_name(tracer):
+        spans = {}
+        for span in tracer.spans():
+            spans.setdefault(span["name"], []).append(span)
+        return spans
+
+    def test_flush_and_group_spans_are_recorded(self):
+        tracer = SpanRecorder()
+        coalescer = RequestCoalescer(
+            max_batch=4, max_delay_s=0.01, run_batch_fn=FakeBatcher(),
+            tracer=tracer,
+        )
+        submit_all(coalescer, [
+            make_job(seed=1),
+            make_job(seed=2, scheme="pid"),
+            make_job(seed=3),
+        ])
+        spans = self._by_name(tracer)
+        (flush,) = spans["coalescer.flush"]
+        assert flush["attrs"] == {"requests": 3, "groups": 2}
+        groups = spans["coalescer.run_batch"]
+        assert sorted(g["attrs"]["runs"] for g in groups) == [1, 2]
+        for group in groups:
+            assert group["parent_id"] == flush["span_id"]
+            assert group["trace_id"] == flush["trace_id"]
+            assert "error" not in group["attrs"]
+
+    def test_failed_group_span_is_recorded_with_its_error(self):
+        def exploding(*args, **kwargs):
+            raise RuntimeError("backend down")
+
+        tracer = SpanRecorder()
+        coalescer = RequestCoalescer(
+            max_batch=2, max_delay_s=0.01, run_batch_fn=exploding,
+            tracer=tracer,
+        )
+
+        async def _main():
+            return await asyncio.gather(
+                coalescer.submit(make_job(seed=1)),
+                coalescer.submit(make_job(seed=2)),
+                return_exceptions=True,
+            )
+
+        assert all(isinstance(r, RuntimeError) for r in asyncio.run(_main()))
+        spans = self._by_name(tracer)
+        (flush,) = spans["coalescer.flush"]
+        (group,) = spans["coalescer.run_batch"]
+        assert group["parent_id"] == flush["span_id"]
+        assert group["attrs"]["error"] == "RuntimeError: backend down"
 
 
 class TestSerialIdentity:

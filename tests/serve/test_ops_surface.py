@@ -162,6 +162,42 @@ class TestSpansEndpoint:
             for child in tree["children"]
         )
 
+    def test_traced_run_records_its_run_experiment_child(self, client):
+        sub = client.submit_run({
+            "benchmark": BENCH,
+            "scheme": "adaptive",
+            "seed": 33,
+            "max_instructions": INSTRUCTIONS,
+            "trace": True,
+        })
+        assert client.wait_for_job(sub["id"])["state"] == "done"
+        spans = client.get_spans(sub["id"])["spans"]
+        root = next(s for s in spans if s["name"] == f"run:{sub['id']}")
+        (child,) = [s for s in spans if s["name"] == "run_experiment"]
+        assert child["parent_id"] == root["span_id"]
+        assert child["attrs"]["traced"] is True
+        assert child["attrs"]["instructions"] > 0
+
+    def test_sweep_root_span_is_recorded(self, client):
+        sub = client.submit_sweep({
+            "benchmarks": [BENCH],
+            "schemes": ["adaptive"],
+            "seeds": [34],
+            "max_instructions": INSTRUCTIONS,
+        })
+        assert client.wait_for_job(sub["id"])["state"] == "done"
+        spans = client.get_spans(sub["id"])["spans"]
+        root = next(s for s in spans if s["name"] == f"sweep:{sub['id']}")
+        assert root["trace_id"] == sub["trace_id"]
+        assert root["attrs"] == {
+            "kind": "sweep", "jobs": 1, "state": "done", "failures": 0,
+        }
+        # the engine's own sweep span hangs off the submission root
+        assert any(
+            s["name"] == "sweep" and s["parent_id"] == root["span_id"]
+            for s in spans
+        )
+
     def test_job_status_carries_trace_id(self, client):
         sub = _finished_run(client, seed=32)
         status = client.get_job(sub["id"])

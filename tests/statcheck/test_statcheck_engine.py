@@ -21,7 +21,7 @@ class TestSuppressions:
     def test_pragma_on_wrong_line_does_not_suppress(self):
         source = (
             "import time\n"
-            "# statcheck: disable=DET002\n"
+            "# statcheck: disable=DET002 -- meant for the next line\n"
             "def f():\n"
             "    return time.time()\n"
         )
@@ -33,7 +33,7 @@ class TestSuppressions:
 
     def test_file_pragma_suppresses_whole_file(self):
         source = (
-            "# statcheck: disable-file=DET002\n"
+            "# statcheck: disable-file=DET002 -- timing helpers only\n"
             "import time\n"
             "def f():\n"
             "    return time.time() + time.monotonic()\n"
@@ -59,8 +59,8 @@ class TestSuppressions:
     def test_disable_all_wildcard(self):
         source = (
             "import time\n"
-            "def f(memo={}):  # statcheck: disable=all\n"
-            "    return memo\n"
+            "def f():\n"
+            "    return time.time()  # statcheck: disable=all -- timing only\n"
         )
         report = analyze(
             [SourceFile.from_source(source, path="x.py", module=IN_SCOPE)]
@@ -92,13 +92,13 @@ class TestParseErrors:
 
 class TestRuleSelection:
     def test_select_runs_only_named_rules(self):
-        report = analyze([load_fixture("py001_fires.py")], select=["PY002"])
+        report = analyze([load_fixture("py002_fires.py")], select=["DET002"])
         assert report.findings == []
-        assert report.rules == ["PY002"]
+        assert report.rules == ["DET002"]
 
     def test_ignore_removes_named_rules(self):
-        report = analyze([load_fixture("py001_fires.py")], ignore=["PY001"])
-        assert "PY001" not in report.rules
+        report = analyze([load_fixture("py002_fires.py")], ignore=["PY002"])
+        assert "PY002" not in report.rules
         assert report.findings == []
 
     @pytest.mark.parametrize("kwargs", [
@@ -114,7 +114,7 @@ class TestReportShape:
     def test_findings_are_sorted_and_counted(self):
         report = analyze([
             load_fixture("py002_fires.py"),
-            load_fixture("py001_fires.py"),
+            load_fixture("det002_fires.py"),
         ])
         assert report.files_scanned == 2
         keys = [f.sort_key for f in report.findings]
@@ -122,6 +122,6 @@ class TestReportShape:
         assert report.ok is False
 
     def test_clean_report_is_ok(self):
-        report = analyze([load_fixture("py001_clean.py")])
+        report = analyze([load_fixture("py002_clean.py")])
         assert report.ok is True
         assert report.findings == []

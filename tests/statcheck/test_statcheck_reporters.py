@@ -14,8 +14,8 @@ from repro.statcheck.reporters import (
 
 
 def _report():
-    return Analyzer(select=["PY001", "PY002"]).analyze(
-        [load_fixture("py001_fires.py"), load_fixture("py002_fires.py")]
+    return Analyzer(select=["DET002", "PY002"]).analyze(
+        [load_fixture("det002_fires.py"), load_fixture("py002_fires.py")]
     )
 
 
@@ -42,7 +42,7 @@ def test_json_round_trips_findings():
     report = _report()
     payload = json.loads(render_json(report))
     assert payload["files_scanned"] == 2
-    assert payload["rules"] == ["PY001", "PY002"]
+    assert payload["rules"] == ["DET002", "PY002"]
     assert len(payload["findings"]) == len(report.findings)
     first = payload["findings"][0]
     assert set(first) == {
@@ -68,8 +68,8 @@ def test_sarif_is_valid_2_1_0_shape():
 
 
 def test_clean_report_renders_everywhere():
-    report = Analyzer(select=["PY001"]).analyze(
-        [load_fixture("py001_clean.py")]
+    report = Analyzer(select=["PY002"]).analyze(
+        [load_fixture("py002_clean.py")]
     )
     assert "0 findings" in render_text(report)
     assert json.loads(render_json(report))["findings"] == []
@@ -89,15 +89,15 @@ def test_sarif_columns_are_one_based_pinned_document():
     report = AnalysisReport(
         findings=[
             Finding(
-                rule="PY001",
+                rule="PY002",
                 path="src/repro/core/mod.py",
                 line=12,
                 col=0,
-                message="mutable default argument",
+                message="bare except",
                 severity=Severity.ERROR,
             ),
             Finding(
-                rule="PY002",
+                rule="DET002",
                 path="src/repro/core/mod.py",
                 line=30,
                 col=4,
@@ -106,7 +106,7 @@ def test_sarif_columns_are_one_based_pinned_document():
             ),
         ],
         files_scanned=1,
-        rules=["PY001", "PY002"],
+        rules=["DET002", "PY002"],
     )
     doc = json.loads(render_sarif(report))
     regions = [

@@ -1,11 +1,9 @@
 """Tests for the semantic layer: symbol table, dataflow, call graph."""
 
-import ast
-
 from conftest import IN_SCOPE
 
+from repro.statcheck import Analyzer
 from repro.statcheck.callgraph import CallGraph
-from repro.statcheck.dataflow import def_use
 from repro.statcheck.engine import Project, SourceFile
 from repro.statcheck.semantic import SymbolTable
 
@@ -54,22 +52,6 @@ class TestSymbolTable:
         assert resolved is not None
         assert resolved.qualname == "lib.util.run_job"
 
-    def test_mutable_globals_detection(self):
-        table = SymbolTable.build(
-            _project(
-                (
-                    "state",
-                    "import collections\n"
-                    "CACHE = {}\n"
-                    "QUEUE = collections.deque()\n"
-                    "LIMIT = 5\n"
-                    "NAME = 'x'\n",
-                )
-            )
-        )
-        info = table.modules["state"]
-        assert set(info.mutable_globals) == {"CACHE", "QUEUE"}
-
     def test_dependency_edges_for_incremental_invalidation(self):
         table = SymbolTable.build(
             _project(
@@ -106,53 +88,48 @@ class TestSymbolTable:
         assert [fn.qualname for fn in found] == ["base.Ref.step"]
 
 
-class TestDefUse:
-    def _func(self, source):
-        tree = ast.parse(source)
-        return tree.body[0]
+class TestForwardWalker:
+    """Join points of the shared walker, observed through UNIT001."""
 
-    def test_parameter_reaches_first_use(self):
-        result = def_use(self._func("def f(x):\n    return x\n"))
-        (use,) = [u for u in result.uses if u.name == "x"]
-        assert use.reaching == frozenset({1})
-
-    def test_straight_line_redefinition_replaces(self):
-        result = def_use(
-            self._func(
-                "def f():\n"
-                "    x = 1\n"
-                "    x = 2\n"
-                "    return x\n"
-            )
+    @staticmethod
+    def _unit_lines(source):
+        report = Analyzer(select=["UNIT001"]).analyze(
+            [SourceFile.from_source(source, path="fx.py", module=IN_SCOPE)]
         )
-        assert result.definitions["x"] == [2, 3]
-        assert result.reaching("x", 4) == frozenset({3})
+        return [f.line for f in report.findings]
 
-    def test_branches_merge_reaching_sets(self):
-        result = def_use(
-            self._func(
-                "def f(flag):\n"
-                "    if flag:\n"
-                "        x = 1\n"
-                "    else:\n"
-                "        x = 2\n"
-                "    return x\n"
-            )
-        )
-        assert result.reaching("x", 6) == frozenset({3, 5})
+    def test_branches_merge_reaching_values(self):
+        # a value both branches agree on survives the join; a
+        # disagreement joins to unknown, which never fires
+        assert self._unit_lines(
+            "def agree(flag, freq_ghz, period_ns):\n"
+            "    if flag:\n"
+            "        x = freq_ghz\n"
+            "    else:\n"
+            "        x = 2 * freq_ghz\n"
+            "    return x + period_ns\n"
+            "def disagree(flag, freq_ghz, period_ns):\n"
+            "    if flag:\n"
+            "        x = freq_ghz\n"
+            "    else:\n"
+            "        x = period_ns\n"
+            "    return x + period_ns\n"
+        ) == [6]
 
     def test_loop_body_definition_reaches_after_loop(self):
-        result = def_use(
-            self._func(
-                "def f(items):\n"
-                "    x = 0\n"
-                "    for item in items:\n"
-                "        x = item\n"
-                "    return x\n"
-            )
-        )
-        # both the pre-loop and in-loop definitions can reach the return
-        assert result.reaching("x", 5) == frozenset({2, 4})
+        # the in-loop binding reaches the code after the loop; with a
+        # pre-loop binding of another unit, both reach and join to unknown
+        assert self._unit_lines(
+            "def only_in_loop(items, freq_ghz, period_ns):\n"
+            "    for item in items:\n"
+            "        x = freq_ghz\n"
+            "    return x + period_ns\n"
+            "def before_and_in_loop(items, freq_ghz, period_ns):\n"
+            "    x = period_ns\n"
+            "    for item in items:\n"
+            "        x = freq_ghz\n"
+            "    return x + period_ns\n"
+        ) == [4]
 
 
 class TestCallGraph:
@@ -198,33 +175,22 @@ class TestCallGraph:
                     "m",
                     "def work(x):\n"
                     "    return x\n"
+                    "def helper(x):\n"
+                    "    return x\n"
                     "def fan_out(executor, items):\n"
-                    "    return [executor.submit(work, i) for i in items]\n",
+                    "    return [executor.submit(work, i) for i in items]\n"
+                    "def fan_out_derived(pool, x):\n"
+                    "    return pool.submit(work, helper(x))\n",
                 )
             )
         )
         graph = CallGraph.build(table)
-        assert "m.work" in graph.worker_entries
+        # helper(x) is evaluated in the submitter; only work crosses over
+        assert graph.worker_entries == {"m.work"}
         kinds = {(e.caller, e.callee): e.kind for e in graph.edges}
         assert kinds[("m.fan_out", "m.work")] == "pool"
-
-    def test_worker_reachability_is_transitive(self):
-        table = SymbolTable.build(
-            _project(
-                (
-                    "m",
-                    "def leaf():\n"
-                    "    return 1\n"
-                    "def work(x):\n"
-                    "    return leaf()\n"
-                    "def fan_out(pool, items):\n"
-                    "    return pool.map(work, items)\n",
-                )
-            )
-        )
-        graph = CallGraph.build(table)
-        reachable = graph.worker_reachable()
-        assert reachable == {"m.work": "m.work", "m.leaf": "m.work"}
+        assert kinds[("m.fan_out_derived", "m.work")] == "pool"
+        assert kinds[("m.fan_out_derived", "m.helper")] == "direct"
 
     def test_unresolvable_targets_contribute_nothing(self):
         table = SymbolTable.build(
