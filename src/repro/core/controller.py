@@ -82,7 +82,7 @@ class AdaptiveDvfsController(DvfsController):
     def observe(
         self, now_ns: float, occupancy: int, freq_ghz: float
     ) -> Optional[FrequencyCommand]:
-        signals = self.monitor.sample(occupancy)
+        level, slope = self.monitor.signals(occupancy)
         if self.scheduler.busy(now_ns):
             # Act in progress: the FSMs hold until the switch completes
             # (Figure 4's "before T_s, any signal" self-loop).
@@ -96,9 +96,9 @@ class AdaptiveDvfsController(DvfsController):
             level_dwell = self.level_fsm.samples_in_state
             slope_was = self.slope_fsm.state
             slope_dwell = self.slope_fsm.samples_in_state
-        level_trigger = self.level_fsm.step(signals.level, f_rel)
+        level_trigger = self.level_fsm.step(level, f_rel)
         slope_trigger = (
-            self.slope_fsm.step(signals.slope, f_rel)
+            self.slope_fsm.step(slope, f_rel)
             if self.config.use_slope_signal
             else 0
         )

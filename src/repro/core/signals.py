@@ -14,7 +14,7 @@ scheme its fast reaction to severe workload changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -40,16 +40,21 @@ class SignalMonitor:
 
         The first sample has zero slope (there is no previous point).
         """
+        level, slope = self.signals(occupancy)
+        return SignalSample(occupancy=occupancy, level=level, slope=slope)
+
+    def signals(self, occupancy: int) -> Tuple[float, float]:
+        """:meth:`sample` as a bare ``(level, slope)`` pair.
+
+        The controllers call this once per 4 ns sample, so it builds no
+        :class:`SignalSample`.
+        """
         if occupancy < 0:
             raise ValueError("occupancy must be non-negative")
         prev = self._prev
         self._prev = occupancy
         slope = 0.0 if prev is None else float(occupancy - prev)
-        return SignalSample(
-            occupancy=occupancy,
-            level=float(occupancy) - self.q_ref,
-            slope=slope,
-        )
+        return float(occupancy) - self.q_ref, slope
 
     def reset(self) -> None:
         self._prev = None

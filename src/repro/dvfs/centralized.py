@@ -105,7 +105,7 @@ class CoordinatedAdaptiveController(DvfsController):
     ) -> Optional[FrequencyCommand]:
         inner = self.inner
         self.coordinator.note(self.domain, occupancy)
-        signals = inner.monitor.sample(occupancy)
+        level, slope = inner.monitor.signals(occupancy)
         if inner.scheduler.busy(now_ns):
             return None
 
@@ -116,9 +116,9 @@ class CoordinatedAdaptiveController(DvfsController):
             level_dwell = inner.level_fsm.samples_in_state
             slope_was = inner.slope_fsm.state
             slope_dwell = inner.slope_fsm.samples_in_state
-        level_trigger = inner.level_fsm.step(signals.level, f_rel)
+        level_trigger = inner.level_fsm.step(level, f_rel)
         slope_trigger = (
-            inner.slope_fsm.step(signals.slope, f_rel)
+            inner.slope_fsm.step(slope, f_rel)
             if inner.config.use_slope_signal
             else 0
         )

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.mcd.domains import MachineConfig
 from repro.obs.facade import ObsConfig
@@ -76,9 +78,33 @@ class SweepJob:
         This is the payload the content-addressed cache hashes; any field
         that can change the simulation's outcome must appear here.
         """
+        payload = {"benchmark": _plain(dataclasses.asdict(self.benchmark))}
+        payload.update(self._settings())
+        return payload
+
+    def canonical_json(self, omit: Tuple[str, ...] = ()) -> str:
+        """``json.dumps(canonical_dict(), sort_keys=True)``, minus ``omit``.
+
+        The benchmark spec is most of the text (~40k characters for
+        gsm-decode), so its JSON comes from a per-spec memo and is spliced
+        in: the top-level items are joined exactly as ``json.dumps`` joins
+        them, with its default separators.
+        """
+        texts = {
+            key: json.dumps(value, sort_keys=True)
+            for key, value in self._settings().items()
+            if key not in omit
+        }
+        if "benchmark" not in omit:
+            texts["benchmark"] = _spec_json(self.benchmark)
+        return "{" + ", ".join(
+            f"{json.dumps(key)}: {texts[key]}" for key in sorted(texts)
+        ) + "}"
+
+    def _settings(self) -> Dict[str, Any]:
+        """:meth:`canonical_dict` without its ``benchmark`` entry."""
         machine = self.machine or MachineConfig()
         return {
-            "benchmark": _plain(dataclasses.asdict(self.benchmark)),
             "scheme": self.scheme,
             "machine": _plain(dataclasses.asdict(machine)),
             "max_instructions": self.max_instructions,
@@ -97,8 +123,29 @@ class SweepJob:
             "simcore": resolve_core(self.simcore),
         }
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.canonical_dict(), sort_keys=True)
+
+#: canonical JSON text of up to 64 benchmark specs by ``id(spec)``, oldest
+#: evicted first.
+#: Each entry holds its spec, so the id cannot be reused while the entry
+#: lives; specs are frozen, so the text cannot go stale.  Keys are computed
+#: on the serve event loop and in engine threads alike, hence the lock.
+_SPEC_JSON: "OrderedDict[int, Tuple[BenchmarkSpec, str]]" = OrderedDict()
+_SPEC_JSON_MAX = 64
+_SPEC_JSON_LOCK = threading.Lock()
+
+
+def _spec_json(spec: BenchmarkSpec) -> str:
+    """``json.dumps`` of the spec's plain form, memoized per spec object."""
+    with _SPEC_JSON_LOCK:
+        hit = _SPEC_JSON.get(id(spec))
+    if hit is not None:
+        return hit[1]
+    text = json.dumps(_plain(dataclasses.asdict(spec)), sort_keys=True)
+    with _SPEC_JSON_LOCK:
+        _SPEC_JSON[id(spec)] = (spec, text)
+        while len(_SPEC_JSON) > _SPEC_JSON_MAX:
+            _SPEC_JSON.popitem(last=False)
+    return text
 
 
 def _plain(value: Any) -> Any:

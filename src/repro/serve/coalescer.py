@@ -25,7 +25,6 @@ loop keeps serving while simulations grind.
 from __future__ import annotations
 
 import asyncio
-import json
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -53,14 +52,12 @@ _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
 def group_key(job: "SweepJob") -> str:
-    """The coalescing identity: the job's canonical dict minus its seed.
+    """The coalescing identity: the job's canonical JSON minus its seed.
 
     Two jobs with equal group keys differ (at most) in their RNG seed,
     which is exactly the axis ``run_batch`` vectorizes over.
     """
-    payload = job.canonical_dict()
-    payload.pop("seed", None)
-    return json.dumps(payload, sort_keys=True)
+    return job.canonical_json(omit=("seed",))
 
 
 # statcheck: loop-confined

@@ -23,16 +23,24 @@ purely from how the same arithmetic is dispatched, never from changing it:
 * **allocation-free sampling** -- occupancies latch into scalars, the
   issue scan reuses one buffer, and history appends go through pre-bound
   methods; the only dict built per sample is the probe-emission payload, and
-  only when the observability layer is attached.
+  only when the observability layer is attached;
+* **parked clocks** -- a clock whose next edges can only spin (an issue
+  queue waiting on a producer that has not issued, a front end behind an
+  unissued mispredicted branch) leaves the heap; a tight loop before each
+  pop replays its owed edges until a completion, a dispatch, its time bound
+  or a relock pause puts it back.
 
 The bit-identical contract imposes hard rules on every edit here: float
 expressions must keep the reference's operand order and association
 (``(leak + gated) * dt`` is not ``leak*dt + gated*dt``); the inlined
 ``Random.gauss`` must keep the reference's draw count and order per clock
 and hand its cached second variate (``gauss_next``) back to the clock's rng;
-and heap pushes must happen in the reference's order so sequence numbers -- the
-tie-breakers for same-time events -- are identical.  Golden-equivalence
-tests in ``tests/simcore/`` enforce the contract for every controller style.
+and events must pop in the reference's ``(time, tag)`` order.  Heap pushes
+keep the reference's relative order, so sequence numbers still break ties
+between equal ``(time, tag)`` entries as the reference's do; parked clocks
+push fewer events, so the final ``seq`` is lower than the reference's.
+Golden-equivalence tests in ``tests/simcore/`` enforce the contract for
+every controller style.
 """
 
 from __future__ import annotations
@@ -358,6 +366,15 @@ class FastMCDProcessor(MCDProcessor):
         occs = self._occ_buf
         issued_buf = self._issued_buf
 
+        # Parked clocks: a clock whose next edges can only spin keeps its
+        # owed edge in next_edge[tag], off the heap, until a completion, a
+        # dispatch, its bound or a relock pause (DESIGN §6d).  pk lists the
+        # parked tags, pk_bound[tag] the time from which a parked clock's
+        # edge may do work, pk_lim the least bound of any parked clock.
+        pk = []
+        pk_bound = [_INF, _INF, _INF, _INF]
+        pk_lim = _INF
+
         # --- initial events (ref push order: FE, INT, FP, LS, sample) -----
         for tag in (0, 1, 2, 3):
             seq += 1
@@ -372,6 +389,80 @@ class FastMCDProcessor(MCDProcessor):
         time_ns = self._now
 
         while fe_next < trace_len or rob_entries:
+            if pk:
+                # ======================================================
+                # replay parked clocks' owed edges that come before the
+                # heap top in (time, tag) order and before every parked
+                # bound: each is the reference's spinning edge (clock
+                # advance, gated energy, FE finish_ns) without the heap
+                # ======================================================
+                top = heap[0]
+                tt = top[0]
+                ttag = top[1]
+                stop = tt if tt < pk_lim else pk_lim
+                i = 0
+                while i < len(pk):
+                    ptag = pk[i]
+                    e = next_edge[ptag]
+                    # pause moves only at samples, which the heap holds, so
+                    # one check covers this block's (later) edges too
+                    if pause[ptag] <= e and (
+                        e < stop or (e == tt and ptag < ttag and e < pk_lim)
+                    ):
+                        per = periods[ptag]
+                        lo = neg04[ptag]
+                        hi = pos04[ptag]
+                        g = ge[ptag]
+                        acc = ebt[ptag]
+                        gn = gauss_next[ptag]
+                        rnd = rand[ptag]
+                        while True:
+                            last = e
+                            # ref: clock.advance()
+                            if sigma:
+                                z = gn
+                                if z is None:
+                                    x2pi = rnd() * _TWOPI
+                                    g2rad = sqrt(-2.0 * log(1.0 - rnd()))
+                                    z = cos(x2pi) * g2rad
+                                    gn = sin(x2pi) * g2rad
+                                else:
+                                    gn = None
+                                j = 0.0 + z * sigma
+                                if j < lo:
+                                    j = lo
+                                elif j > hi:
+                                    j = hi
+                                e = e + per + j
+                            else:
+                                e = e + per
+                            acc += g
+                            if not (
+                                e < stop or (e == tt and ptag < ttag and e < pk_lim)
+                            ):
+                                break
+                        ebt[ptag] = acc
+                        gauss_next[ptag] = gn
+                        next_edge[ptag] = e
+                        if not ptag:
+                            finish_ns = last
+                    if e >= pk_bound[ptag] or e < pause[ptag]:
+                        # this edge may do work: back on the heap, which can
+                        # move the heap top earlier, so start over
+                        del pk[i]
+                        seq += 1
+                        heappush(heap, (e, ptag, seq, 0))
+                        pk_lim = _INF
+                        for ptag in pk:
+                            if pk_bound[ptag] < pk_lim:
+                                pk_lim = pk_bound[ptag]
+                        top = heap[0]
+                        tt = top[0]
+                        ttag = top[1]
+                        stop = tt if tt < pk_lim else pk_lim
+                        i = 0
+                    else:
+                        i += 1
             ev = heappop(heap)
             time_ns = ev[0]
             tag = ev[1]
@@ -494,6 +585,13 @@ class FastMCDProcessor(MCDProcessor):
                         if utilization > 1.0:
                             utilization = 1.0
                         ebt[tag] += abe[tag] + ase[tag] * utilization
+                        if pk:
+                            # new completions: every parked clock may move
+                            for ptag in pk:
+                                seq += 1
+                                heappush(heap, (next_edge[ptag], ptag, seq, 0))
+                            del pk[:]
+                            pk_lim = _INF
                     else:
                         ebt[tag] += ge[tag]
                         alu = alu_by_tag[tag]
@@ -508,8 +606,12 @@ class FastMCDProcessor(MCDProcessor):
                             timer_target[tag] = None
                             wake_gen[tag] += 1
                             continue
-                        # ref: stall_hint (next_ready_hint inline)
+                        # ref: stall_hint (next_ready_hint inline).  The
+                        # reference stops at the first entry with an
+                        # unissued producer (hint unknown); this scan goes
+                        # on past it so `best` also bounds a park.
                         best = _INF
+                        unknown = False
                         for entry in entries:
                             v = entry.visible_ns
                             if v > time_ns:
@@ -522,24 +624,33 @@ class FastMCDProcessor(MCDProcessor):
                             if s1 is not None:
                                 d = completion_get(s1)
                                 if d is None:
-                                    best = _INF
-                                    break
+                                    unknown = True
+                                    continue
                                 if d > ready:
                                     ready = d
                             s2 = inst.src2
                             if s2 is not None:
                                 d = completion_get(s2)
                                 if d is None:
-                                    best = _INF
-                                    break
+                                    unknown = True
+                                    continue
                                 if d > ready:
                                     ready = d
                             if ready <= time_ns:
-                                best = _INF
-                                break
+                                break  # issuable but FU-blocked: keep ticking
                             if ready < best:
                                 best = ready
                         else:
+                            if unknown:
+                                # no entry can pass the issue checks before
+                                # `best` without a new completion: park
+                                pk.append(tag)
+                                if best > max_time_ns:
+                                    best = max_time_ns
+                                pk_bound[tag] = best
+                                if best < pk_lim:
+                                    pk_lim = best
+                                continue
                             if best != _INF and best > time_ns + 2.0 * per:
                                 sleeping[tag] = True
                                 timer_target[tag] = best
@@ -672,6 +783,16 @@ class FastMCDProcessor(MCDProcessor):
                                     next_edge[dtag] = ne
                                 seq += 1
                                 heappush(heap, (next_edge[dtag], dtag, seq, 0))
+                            elif pk and dtag in pk:
+                                # a parked domain got work: its owed edge
+                                # (already caught up to now) goes back on
+                                pk.remove(dtag)
+                                seq += 1
+                                heappush(heap, (ne, dtag, seq, 0))
+                                pk_lim = _INF
+                                for ptag in pk:
+                                    if pk_bound[ptag] < pk_lim:
+                                        pk_lim = pk_bound[ptag]
                             fe_next += 1
                             dispatched += 1
                             if branch_arr[idx]:
@@ -725,6 +846,21 @@ class FastMCDProcessor(MCDProcessor):
                                 heappush(heap, (next_edge[0], 0, seq, 0))
                             elif fe_last_stall == "queue_full" or fe_last_stall == "rob_full":
                                 fe_sleeping = True
+                            elif (
+                                fe_last_stall == "branch"
+                                and not retired_now
+                                and fe_blocked.done_ns == _INF
+                            ):
+                                # behind an unissued mispredicted branch:
+                                # every edge before the ROB head completes
+                                # only spins, so park
+                                pk.append(0)
+                                b = rob_entries[0].done_ns
+                                if b > max_time_ns:
+                                    b = max_time_ns
+                                pk_bound[0] = b
+                                if b < pk_lim:
+                                    pk_lim = b
                             else:
                                 seq += 1
                                 heappush(heap, (next_edge[0], 0, seq, 0))
@@ -868,6 +1004,12 @@ class FastMCDProcessor(MCDProcessor):
                     if utilization > 1.0:
                         utilization = 1.0
                     ebt[3] += abe[3] + ase[3] * utilization
+                    if pk:
+                        for ptag in pk:
+                            seq += 1
+                            heappush(heap, (next_edge[ptag], ptag, seq, 0))
+                        del pk[:]
+                        pk_lim = _INF
                 else:
                     ebt[3] += ge[3]
                     if not entries and max(ls_ports) <= time_ns:
@@ -876,6 +1018,7 @@ class FastMCDProcessor(MCDProcessor):
                         wake_gen[3] += 1
                         continue
                     best = _INF
+                    unknown = False
                     for entry in entries:
                         v = entry.visible_ns
                         if v > time_ns:
@@ -888,24 +1031,31 @@ class FastMCDProcessor(MCDProcessor):
                         if s1 is not None:
                             d = completion_get(s1)
                             if d is None:
-                                best = _INF
-                                break
+                                unknown = True
+                                continue
                             if d > ready:
                                 ready = d
                         s2 = inst.src2
                         if s2 is not None:
                             d = completion_get(s2)
                             if d is None:
-                                best = _INF
-                                break
+                                unknown = True
+                                continue
                             if d > ready:
                                 ready = d
                         if ready <= time_ns:
-                            best = _INF
-                            break
+                            break  # issuable but port/store-buffer-blocked
                         if ready < best:
                             best = ready
                     else:
+                        if unknown:
+                            pk.append(3)
+                            if best > max_time_ns:
+                                best = max_time_ns
+                            pk_bound[3] = best
+                            if best < pk_lim:
+                                pk_lim = best
+                            continue
                         if best != _INF and best > time_ns + 2.0 * per:
                             sleeping[3] = True
                             timer_target[3] = best
@@ -1038,6 +1188,10 @@ class FastMCDProcessor(MCDProcessor):
                     heappush(heap, (next_edge[dtag], dtag, seq, 0))
 
         # --- write locals back into object state ----------------------
+        # still-parked clocks' owed edges go on the heap, as in the reference
+        for tag in pk:
+            seq += 1
+            heappush(heap, (next_edge[tag], tag, seq, 0))
         for denum, tag in edge_tags:
             bd[denum] = bg_e[tag]
         wheel.seq = seq

@@ -102,6 +102,15 @@ def _split_rules(value: Optional[str]) -> Optional[List[str]]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
+def _selected_rules(value: Optional[str]) -> Optional[List[str]]:
+    """``--select`` as rule ids; an explicit selection of no rule would
+    check nothing and pass, so it is a usage error like an unknown id."""
+    rules = _split_rules(value)
+    if rules == []:
+        raise ValueError(f"--select {value!r} names no rule")
+    return rules
+
+
 def _print_stats(report: "AnalysisReport", wall_s: float) -> None:
     """One human summary of the run on stderr (``--stats``)."""
     parts = [f"files={report.files_scanned}"]
@@ -136,7 +145,7 @@ def run(args: argparse.Namespace) -> int:
     try:
         paths = args.paths or default_paths()
         analyzer = Analyzer(
-            select=_split_rules(args.select),
+            select=_selected_rules(args.select),
             ignore=_split_rules(args.ignore),
         )
         if args.no_incremental:

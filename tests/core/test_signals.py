@@ -51,3 +51,21 @@ class TestValidation:
 
     def test_sample_carries_occupancy(self):
         assert SignalMonitor(4).sample(7).occupancy == 7
+
+
+class TestSignalsPair:
+    def test_signals_match_sample_stream(self):
+        occupancies = [3, 8, 8, 0, 12, 5]
+        by_sample, by_pair = SignalMonitor(4), SignalMonitor(4)
+        for occupancy in occupancies:
+            sample = by_sample.sample(occupancy)
+            assert by_pair.signals(occupancy) == (sample.level, sample.slope)
+
+    def test_signals_and_sample_share_history(self):
+        mon = SignalMonitor(4)
+        mon.signals(3)
+        assert mon.sample(8).slope == pytest.approx(5.0)
+
+    def test_signals_rejects_negative_occupancy(self):
+        with pytest.raises(ValueError):
+            SignalMonitor(4).signals(-1)

@@ -99,6 +99,81 @@ class TestCacheKey:
         assert job_cache_key(tiny) == PINNED_KEYS[core]
 
 
+def _custom_spec():
+    """A spec the registry does not hold, with text that needs escaping."""
+    from repro.workloads.instructions import InstructionKind
+    from repro.workloads.phases import BenchmarkSpec, PhaseSpec
+
+    return BenchmarkSpec(
+        name="custom-é",
+        suite="spec2000int",
+        phases=(
+            PhaseSpec(
+                name='tight "loop"',
+                length=400,
+                mix={InstructionKind.INT_ALU: 3.0, InstructionKind.LOAD: 1.0},
+            ),
+        ),
+        notes="not in the registry ✓",
+    )
+
+
+#: jobs whose spliced JSON must equal json.dumps of their canonical dict
+SPLICE_CASES = {
+    "registry": dict(benchmark="gsm-decode", seed=3),
+    "custom-machine": dict(
+        benchmark="gzip", machine=MachineConfig(rob_size=96, jitter_sigma_ns=0.0)
+    ),
+    "obs": dict(benchmark="swim", obs=ObsConfig()),
+    "overrides": dict(
+        benchmark="mcf", adaptive_overrides={"delay_scale": 2.0, "q_ref": 6}
+    ),
+    "custom-spec": dict(benchmark=_custom_spec(), scheme="pid"),
+}
+
+
+class TestCanonicalJson:
+    """canonical_json splices the memoized spec text into the top-level
+    object; the result must stay byte-identical to the plain dump."""
+
+    @pytest.mark.parametrize("case", sorted(SPLICE_CASES))
+    def test_canonical_json_is_the_plain_dump(self, case):
+        import json
+
+        spliced = SweepJob.make(**SPLICE_CASES[case])
+        plain = json.dumps(spliced.canonical_dict(), sort_keys=True)
+        assert spliced.canonical_json() == plain
+        # a second call serves the spec text from the memo
+        assert spliced.canonical_json() == plain
+
+    @pytest.mark.parametrize("case", sorted(SPLICE_CASES))
+    def test_group_key_is_the_plain_dump_minus_seed(self, case):
+        import json
+
+        from repro.serve.coalescer import group_key
+
+        spliced = SweepJob.make(**SPLICE_CASES[case])
+        payload = spliced.canonical_dict()
+        del payload["seed"]
+        assert group_key(spliced) == json.dumps(payload, sort_keys=True)
+
+    def test_canonical_dict_is_a_fresh_dict(self, job):
+        first = job.canonical_dict()
+        first["benchmark"]["name"] = "mutated"
+        assert job.canonical_dict()["benchmark"]["name"] == "adpcm-encode"
+
+    def test_replaced_spec_keys_alike(self, job):
+        copy = dataclasses.replace(job, benchmark=dataclasses.replace(job.benchmark))
+        assert copy.benchmark is not job.benchmark
+        assert job_cache_key(copy) == job_cache_key(job)
+
+    def test_changed_spec_changes_key(self, job):
+        changed = dataclasses.replace(
+            job, benchmark=dataclasses.replace(job.benchmark, notes="edited")
+        )
+        assert job_cache_key(changed) != job_cache_key(job)
+
+
 class TestResultCache:
     def test_miss_then_hit_roundtrip(self, tmp_path, job, result):
         cache = ResultCache(str(tmp_path))

@@ -17,13 +17,16 @@ import os
 import pytest
 
 from repro.harness.experiment import run_experiment
-from repro.mcd.domains import transmeta_machine_config
+from repro.mcd.domains import MachineConfig, transmeta_machine_config
 from repro.simcore import assert_results_identical
 
 #: Enough instructions to exercise sleep/wake, store-buffer pressure,
 #: mispredict redirects, and many DVFS steps, while keeping the full
 #: (scheme x seed) grid fast enough for tier-1.
 _INSTRUCTIONS = 2500
+
+#: mcf and swim simulate ~10x longer per instruction than adpcm-encode
+_ZERO_JITTER_INSTRUCTIONS = 1500
 
 _SCHEMES = ("full-speed", "adaptive", "attack-decay", "pid", "centralized")
 _SEEDS = (1, 2, 3)
@@ -75,6 +78,33 @@ class TestGoldenEquivalence:
             seed=3,
         )
         assert_results_identical(ref, fast, context="gzip/adaptive transmeta")
+
+    @pytest.mark.parametrize("scheme", _SCHEMES)
+    @pytest.mark.parametrize("bench", ("mcf", "swim"))
+    def test_zero_jitter(self, bench, scheme):
+        # Without jitter the inlined gauss path is skipped, front-end edges
+        # (1 ns apart from t=0) land exactly on 4 ns sample ticks, and
+        # parked clocks replay long runs of unperturbed edges.
+        ref, fast = _pair(
+            bench,
+            scheme=scheme,
+            machine=MachineConfig(jitter_sigma_ns=0.0),
+            max_instructions=_ZERO_JITTER_INSTRUCTIONS,
+            seed=2,
+        )
+        assert_results_identical(
+            ref, fast, context=f"{bench}/{scheme} zero jitter"
+        )
+
+    def test_zero_jitter_transmeta_machine(self):
+        ref, fast = _pair(
+            "gzip",
+            scheme="adaptive",
+            machine=transmeta_machine_config(jitter_sigma_ns=0.0),
+            max_instructions=_INSTRUCTIONS,
+            seed=3,
+        )
+        assert_results_identical(ref, fast, context="gzip/adaptive transmeta zero jitter")
 
     def test_observed_run(self):
         ref, fast = _pair(

@@ -6,7 +6,7 @@ import pytest
 
 from repro.statcheck import Analyzer, SourceFile
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 #: Virtual module path that puts a fixture inside every scoped rule's
 #: scope (repro.core is covered by the determinism AND control scopes).
@@ -32,3 +32,15 @@ def findings_for(name, rule_id, module=IN_SCOPE):
 @pytest.fixture
 def fixtures_dir():
     return FIXTURES
+
+
+@pytest.fixture(autouse=True)
+def _private_cwd(tmp_path, monkeypatch):
+    """Run each test in its own directory.
+
+    ``main()`` without ``--cache-file`` writes ``.statcheck-cache.json``
+    into the working directory; from the repo root that would rewrite the
+    checkout's cache, and a later run would replay it instead of analysing
+    cold.  Tree paths in these tests are absolute, so the move is safe.
+    """
+    monkeypatch.chdir(tmp_path)

@@ -46,6 +46,14 @@ class TestExitCodes:
         assert main([clean_tree, "--select", "NOPE999"]) == EXIT_ERROR
         assert "NOPE999" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("selection", ["", ",", " , "])
+    def test_empty_select_is_usage_error(self, clean_tree, capsys, selection):
+        """A selection naming no rule would check nothing and pass."""
+        assert main([clean_tree, "--select", selection]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "names no rule" in captured.err
+        assert "0 findings" not in captured.out
+
     def test_broken_pipe_is_quiet(self, clean_tree, capfd, monkeypatch):
         """`check ... | head` must not dump a traceback when head exits."""
 
