@@ -10,7 +10,8 @@ drives it over real sockets with the stdlib client:
 * **coalesced run pipeline** -- a burst of concurrent single-run
   submissions, measured end-to-end (submit -> SSE completion -> result
   fetched by content hash) together with how tightly the coalescer
-  packed them into ``run_batch`` ticks.
+  packed them into engine calls (one per flush; ``/v1/stats`` still
+  names their count ``run_batch_calls``).
 
 Writes ``benchmarks/results/BENCH_serve.json``; the CI perf-regression
 job gates ``controller_step.req_per_s`` against the committed baseline
@@ -127,7 +128,7 @@ def test_serve_load(benchmark):
             ["controller-step req/s", f"{step_req_per_s:,.0f}"],
             ["controller-step wall", f"{step_wall:.3f} s ({STEP_REQUESTS} req)"],
             ["run burst wall", f"{run_wall:.3f} s ({RUN_BURST} runs)"],
-            ["run_batch calls", str(coalescer["run_batch_calls"])],
+            ["engine calls", str(coalescer["run_batch_calls"])],
             ["runs per call", f"{runs_per_call:.1f}"],
         ],
         title="DVFS service load test",

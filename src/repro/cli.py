@@ -526,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="simulation threads off the event loop")
     serve_p.add_argument("--max-batch", type=int, default=8,
                          dest="max_batch",
-                         help="coalescer: runs per run_batch tick")
+                         help="coalescer: most runs per engine call")
     serve_p.add_argument("--max-delay-ms", type=float, default=5.0,
                          dest="max_delay_ms",
                          help="coalescer: max added latency while waiting "

@@ -21,7 +21,6 @@ from repro.engine.scheduler import (
     JobOutcome,
     JobTimeoutError,
     SweepEngine,
-    run_sweep,
     shutdown_on_signals,
 )
 from repro.engine.telemetry import (
@@ -46,6 +45,5 @@ __all__ = [
     "get_by_key",
     "job_cache_key",
     "run_job",
-    "run_sweep",
     "shutdown_on_signals",
 ]

@@ -20,8 +20,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-import threading
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.engine.jobs import SweepJob
 from repro.harness import persistence
@@ -87,12 +86,6 @@ class ResultCache:
 
     def __init__(self, root: str) -> None:
         self.root = str(root)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        # one cache instance serves the loop's /v1/results path and
-        # multiple executor threads; bare += would drop counts
-        self._lock = threading.Lock()
 
     def path_for(self, job: SweepJob, key: Optional[str] = None) -> str:
         """On-disk path of ``job``'s entry; ``key`` is its
@@ -100,14 +93,8 @@ class ResultCache:
         return entry_path(self.root, job_cache_key(job) if key is None else key)
 
     def get_by_key(self, key: str) -> Optional[SimulationResult]:
-        """:func:`get_by_key` against this cache's root, with counters."""
-        result = get_by_key(key, self.root)
-        with self._lock:
-            if result is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        return result
+        """:func:`get_by_key` against this cache's root."""
+        return get_by_key(key, self.root)
 
     def get(
         self, job: SweepJob, key: Optional[str] = None
@@ -119,21 +106,7 @@ class ResultCache:
         downgraded results (the key covers ``record_history``, making
         this automatic).  ``key`` is as in :meth:`path_for`.
         """
-        path = self.path_for(job, key)
-        try:
-            results = persistence.load_result_objects(path)
-        except (OSError, ValueError, KeyError, EOFError):
-            # missing, truncated, corrupt, or wrong-version entry: a miss
-            with self._lock:
-                self.misses += 1
-            return None
-        if len(results) != 1:
-            with self._lock:
-                self.misses += 1
-            return None
-        with self._lock:
-            self.hits += 1
-        return results[0]
+        return get_by_key(job_cache_key(job) if key is None else key, self.root)
 
     def put(
         self, job: SweepJob, result: SimulationResult, key: Optional[str] = None
@@ -148,13 +121,4 @@ class ResultCache:
             )
         except OSError:
             return None
-        with self._lock:
-            self.stores += 1
         return path
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-        }

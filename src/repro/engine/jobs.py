@@ -82,8 +82,8 @@ class SweepJob:
         payload.update(self._settings())
         return payload
 
-    def canonical_json(self, omit: Tuple[str, ...] = ()) -> str:
-        """``json.dumps(canonical_dict(), sort_keys=True)``, minus ``omit``.
+    def canonical_json(self) -> str:
+        """``json.dumps(canonical_dict(), sort_keys=True)``.
 
         The benchmark spec is most of the text (~40k characters for
         gsm-decode), so its JSON comes from a per-spec memo and is spliced
@@ -93,10 +93,8 @@ class SweepJob:
         texts = {
             key: json.dumps(value, sort_keys=True)
             for key, value in self._settings().items()
-            if key not in omit
         }
-        if "benchmark" not in omit:
-            texts["benchmark"] = _spec_json(self.benchmark)
+        texts["benchmark"] = _spec_json(self.benchmark)
         return "{" + ", ".join(
             f"{json.dumps(key)}: {texts[key]}" for key in sorted(texts)
         ) + "}"

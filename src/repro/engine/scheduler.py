@@ -67,6 +67,12 @@ except ImportError:  # pragma: no cover
 #: distinguishes; anything else collapses to "other".
 _OUTCOMES = frozenset({"finished", "failed", "cancelled"})
 
+#: seconds the pooled loop waits for a completion before it checks for a
+#: drain again: a drain must cancel queued jobs while they are still
+#: queued, not at the next completion, by which time the pool has moved
+#: more of them into its call queue, where they can no longer be cancelled
+_DRAIN_POLL_S = 0.05
+
 
 class JobTimeoutError(Exception):
     """A job exceeded the engine's per-job timeout."""
@@ -315,17 +321,6 @@ class SweepEngine:
             self._sweep_span = None
         return [outcome for outcome in outcomes if outcome is not None]
 
-    def results(self, jobs: Sequence[SweepJob]) -> List[SimulationResult]:
-        """Like :meth:`run` but demand success: raise if any job failed."""
-        outcomes = self.run(jobs)
-        failures = [o for o in outcomes if not o.ok]
-        if failures:
-            details = "; ".join(
-                f"{o.job.job_id}: {o.error}" for o in failures
-            )
-            raise RuntimeError(f"{len(failures)} sweep job(s) failed: {details}")
-        return [o.result for o in outcomes if o.result is not None]
-
     # -- execution paths ----------------------------------------------
 
     def _job_parent(self, job: SweepJob) -> Optional[SpanContext]:
@@ -538,6 +533,7 @@ class SweepEngine:
                 while futures:
                     done, _ = concurrent.futures.wait(
                         futures,
+                        timeout=_DRAIN_POLL_S,
                         return_when=concurrent.futures.FIRST_COMPLETED,
                     )
                     for future in done:
@@ -595,19 +591,6 @@ class SweepEngine:
                 remaining_jobs=len(remaining),
             )
             self._run_serial(jobs, remaining, outcomes, keys)
-
-
-def run_sweep(
-    jobs: Sequence[SweepJob],
-    config: Optional[EngineConfig] = None,
-    **config_overrides: Any,
-) -> List[JobOutcome]:
-    """One-call convenience: build an engine and run ``jobs`` through it."""
-    if config is None:
-        config = EngineConfig(**config_overrides)
-    elif config_overrides:
-        raise TypeError("pass either config or keyword overrides, not both")
-    return SweepEngine(config).run(jobs)
 
 
 @contextlib.contextmanager

@@ -9,7 +9,6 @@ from repro.harness.experiment import (
     SCHEMES,
     build_controllers,
     run_experiment,
-    run_experiment_batch,
 )
 from repro.harness.comparison import (
     SchemeResult,
@@ -36,7 +35,6 @@ __all__ = [
     "SCHEMES",
     "build_controllers",
     "run_experiment",
-    "run_experiment_batch",
     "SchemeResult",
     "BenchmarkComparison",
     "compare_schemes",

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.harness.experiment import run_experiment
 from repro.mcd.domains import MachineConfig
 from repro.mcd.processor import SimulationResult
 from repro.power.metrics import (
@@ -54,9 +53,9 @@ def comparison_from_runs(
 ) -> BenchmarkComparison:
     """Assemble a :class:`BenchmarkComparison` from already-executed runs.
 
-    This is the shared back half of :func:`compare_schemes` and the
-    engine-driven sweep: it does not care whether the runs came from a
-    worker pool, the result cache, or in-process execution.
+    This is the back half of :func:`sweep`: it does not care whether the
+    runs came from a worker pool, the result cache, or in-process
+    execution.
     """
     baseline = baseline_run.metrics
     results: List[SchemeResult] = []
@@ -87,36 +86,28 @@ def compare_schemes(
     machine: Optional[MachineConfig] = None,
     max_instructions: Optional[int] = None,
     pid_interval_ns: Optional[float] = None,
-    record_history: bool = False,
     seed: Optional[int] = None,
     obs=None,
     simcore: Optional[str] = None,
 ) -> BenchmarkComparison:
     """Run the baseline plus each scheme on one benchmark and compare.
 
-    ``obs`` is forwarded to every :func:`run_experiment`; note a live
-    ``Observability`` instance would then accumulate all runs into one
-    trace, so per-run configs (``True`` / ``ObsConfig``) are the useful
-    forms here.  ``simcore`` pins the simulation core for every run
-    (``None`` defers to ``REPRO_SIMCORE``).
+    This is ``sweep([benchmark], ...)[0]``: the runs go through a serial,
+    uncached engine, so a run that still fails after the engine's retry
+    raises ``RuntimeError`` naming it, and ``obs`` takes the picklable
+    forms (``True`` / ``ObsConfig``).  ``simcore`` pins the simulation
+    core for every run (``None`` defers to ``REPRO_SIMCORE``).
     """
-    spec = get_benchmark(benchmark) if isinstance(benchmark, str) else benchmark
-    common = dict(
+    return sweep(
+        [benchmark],
+        schemes=schemes,
         machine=machine,
         max_instructions=max_instructions,
-        record_history=record_history,
+        pid_interval_ns=pid_interval_ns,
         seed=seed,
         obs=obs,
         simcore=simcore,
-    )
-    baseline_run = run_experiment(spec, scheme="full-speed", **common)
-    scheme_runs = [
-        run_experiment(
-            spec, scheme=scheme, pid_interval_ns=pid_interval_ns, **common
-        )
-        for scheme in schemes
-    ]
-    return comparison_from_runs(spec, baseline_run, scheme_runs)
+    )[0]
 
 
 def sweep(
@@ -134,24 +125,24 @@ def sweep(
 ) -> List[BenchmarkComparison]:
     """Compare schemes across a benchmark list (the per-figure sweeps).
 
-    With ``engine`` (a :class:`repro.engine.SweepEngine`) the whole
-    ``(benchmark x scheme)`` grid -- baseline included -- is fanned out as
-    one batch of jobs, gaining the engine's worker pool, result cache,
-    retry policy, and telemetry.  Without it, each benchmark is compared
-    serially in-process, as before.
+    The whole ``(benchmark x scheme)`` grid -- baseline included -- is
+    fanned out as one batch of jobs through ``engine`` (a
+    :class:`repro.engine.SweepEngine`, gaining its worker pool, result
+    cache, retry policy, and telemetry), or through a serial, uncached
+    ``SweepEngine()`` when none is given.
 
     ``window``, when given, is a callable mapping a spec to its
     per-benchmark instruction window and overrides ``max_instructions``
     (the full-evaluation sweep truncates every benchmark except
-    ``epic-decode``).  ``on_failure`` controls the engine path when a job
+    ``epic-decode``).  ``on_failure`` controls what happens when a job
     exhausts its retries: ``"raise"`` aborts with details, ``"skip"``
     drops that benchmark's comparison and keeps the rest (failures stay
     visible in the engine's telemetry).
 
-    ``obs`` enables per-run observability.  On the engine path it must be
-    picklable (``True`` or an :class:`repro.obs.ObsConfig`); each job's
-    result then carries its ``probe_summary``, which the engine's
-    telemetry aggregates into the sweep summary.
+    ``obs`` enables per-run observability.  It must be picklable
+    (``True`` or an :class:`repro.obs.ObsConfig`); each job's result then
+    carries its ``probe_summary``, which the engine's telemetry
+    aggregates into the sweep summary.
     """
     specs = [
         get_benchmark(b) if isinstance(b, str) else b for b in benchmarks
@@ -160,25 +151,11 @@ def sweep(
     def instructions_for(spec: BenchmarkSpec) -> Optional[int]:
         return window(spec) if window is not None else max_instructions
 
-    if engine is None:
-        return [
-            compare_schemes(
-                spec,
-                schemes=schemes,
-                machine=machine,
-                max_instructions=instructions_for(spec),
-                pid_interval_ns=pid_interval_ns,
-                seed=seed,
-                obs=obs,
-                simcore=simcore,
-            )
-            for spec in specs
-        ]
-
     if on_failure not in ("raise", "skip"):
         raise ValueError(f"on_failure must be 'raise' or 'skip', got {on_failure!r}")
 
     from repro.engine.jobs import SweepJob
+    from repro.engine.scheduler import SweepEngine
     from repro.obs.facade import ObsConfig, Observability
 
     if obs is True:
@@ -209,6 +186,8 @@ def sweep(
         for spec in specs
         for scheme in all_schemes
     ]
+    if engine is None:
+        engine = SweepEngine()
     outcomes = engine.run(jobs)
 
     comparisons: List[BenchmarkComparison] = []

@@ -146,21 +146,3 @@ def run_experiment(
         simcore=simcore,
     )
     return processor.run()
-
-
-def run_experiment_batch(jobs, engine=None):
-    """Engine-aware batch entry point: run many jobs, return their results.
-
-    ``jobs`` is a sequence of :class:`repro.engine.jobs.SweepJob`.  With no
-    ``engine`` the batch runs serially in-process; with a
-    :class:`repro.engine.SweepEngine` it goes through the pool/cache/
-    telemetry machinery.  Results come back in job order; any failed job
-    raises (use ``engine.run`` directly for per-job outcomes).
-    """
-    from repro.engine.scheduler import SweepEngine
-
-    if engine is None:
-        engine = SweepEngine()  # serial, uncached, still retried/observable
-    if not isinstance(engine, SweepEngine):
-        raise TypeError(f"engine must be a SweepEngine, got {type(engine)!r}")
-    return engine.results(list(jobs))

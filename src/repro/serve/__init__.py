@@ -12,8 +12,8 @@ network-callable system (ROADMAP item 3):
 * :mod:`repro.serve.jobstore` -- in-memory job registry with per-job
   event history + live fan-out to SSE subscribers;
 * :mod:`repro.serve.coalescer` -- batches concurrent single-run
-  requests into one :func:`repro.simcore.run_batch` tick so service
-  throughput rides the batched simulation backend;
+  requests into one :meth:`repro.engine.SweepEngine.run` call per
+  flush, settling each request from its own job outcome;
 * :mod:`repro.serve.controller` -- the paper's adaptive FSM as a
   stateless scorable function (``POST /v1/controller/step``);
 * :mod:`repro.serve.app` -- the service itself: routes, handlers,

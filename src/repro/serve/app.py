@@ -4,7 +4,7 @@
 asyncio application:
 
 * ``POST /v1/runs`` -- submit one simulation; concurrent submissions are
-  coalesced into batched :func:`repro.simcore.run_batch` ticks;
+  coalesced into one :meth:`repro.engine.SweepEngine.run` call per flush;
 * ``POST /v1/sweeps`` -- submit a benchmark x scheme x seed cross
   product through a :class:`repro.engine.SweepEngine` (pool workers,
   content-addressed cache, telemetry);
@@ -16,7 +16,7 @@ asyncio application:
 * ``POST /v1/controller/step`` -- the paper's adaptive FSM as a
   stateless scorable endpoint (:func:`repro.serve.controller.score_trajectory`);
 * ``GET /v1/healthz`` / ``GET /v1/stats`` / ``GET /v1/benchmarks`` --
-  liveness, job/coalescer/cache/span state, and discovery;
+  liveness, job/coalescer/span state, and discovery;
 * ``GET /metrics`` / ``GET /v1/spans/{id}`` -- the ops surface.
 
 Every request is observable through one instrument each: the dispatch
@@ -174,7 +174,8 @@ class ServeApp:
         return (time.monotonic_ns() - self._t0) / 1e9
 
     def _make_engine(self) -> SweepEngine:
-        """A fresh engine (own telemetry) for one coalescer flush."""
+        """A fresh engine (own telemetry) for one coalescer flush; the
+        coalescer calls it on the loop, which owns ``_engines``."""
         engine = SweepEngine(
             EngineConfig(cache_dir=self.config.cache_dir),
             tracer=self.tracer,
@@ -289,10 +290,8 @@ class ServeApp:
             "jobs_evicted": self.store.evicted,
             "coalescer": self.coalescer.stats(),
             "results_in_memory": len(self._results),
+            "spans": self.tracer.summary(),
         }
-        if self.cache is not None:
-            payload["cache"] = self.cache.stats()
-        payload["spans"] = self.tracer.summary()
         return Response.json(payload)
 
     async def _handle_controller_step(self, request: Request) -> Response:
@@ -383,7 +382,7 @@ class ServeApp:
     async def _execute_run(
         self, record: Job, job: SweepJob, root: Span
     ) -> None:
-        """Coalesced path: the run rides a shared ``run_batch`` tick."""
+        """Coalesced path: the run rides its flush's shared engine call."""
         self.store.set_state(record, JobState.RUNNING)
         try:
             result = await self.coalescer.submit(job)

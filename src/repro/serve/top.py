@@ -272,8 +272,6 @@ def render(
     lines.append(
         "coalesce flushes: "
         f"{_total(snapshot, 'repro_serve_coalescer_flushes_total'):.0f}  "
-        "run_batch: "
-        f"{_total(snapshot, 'repro_serve_coalescer_run_batch_total'):.0f}  "
         "batched runs: "
         f"{_total(snapshot, 'repro_serve_coalescer_batched_runs_total'):.0f}  "
         "pending: "

@@ -21,7 +21,6 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Any, Optional, Tuple, Type
 
-from repro.simcore.batch import run_batch
 from repro.simcore.markers import hot_path
 from repro.simcore.tables import SimTables, tables_for
 from repro.simcore.validate import assert_results_identical, results_identical
@@ -49,7 +48,6 @@ __all__ = [
     "processor_class",
     "resolve_core",
     "results_identical",
-    "run_batch",
     "tables_for",
 ]
 

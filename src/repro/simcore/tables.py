@@ -13,15 +13,15 @@ its per-sample path:
 
 Controller targets live on the quantized step grid, so the set of distinct
 ``(voltage, frequency)`` operating points a run visits is small and highly
-repetitive -- and across a multi-seed batch the replicas visit the *same*
+repetitive -- and across the seeds of one sweep the runs visit the *same*
 points.  :class:`SimTables` memoizes all three families keyed by the exact
 float inputs.  Because every cached value is produced by the bit-exact same
 expression the reference core evaluates, serving it from the table cannot
 change a single bit of simulated state.
 
 ``tables_for`` interns one :class:`SimTables` per ``(MachineConfig, power
-params)`` pair, so ``simcore.run_batch`` and sweep-engine workers amortize
-table population across replicas for free.
+params)`` pair and process, so every run a sweep engine or serve flush
+executes in that process amortizes table population for free.
 """
 
 from __future__ import annotations

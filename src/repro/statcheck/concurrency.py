@@ -27,17 +27,11 @@ model once per analysis run:
 * :class:`ContextModel` -- the three context-reachability maps
   (kind-filtered BFS over the graph: a thread traversal never follows a
   ``loop`` hop or enters a coroutine body), the loop-confined class set
-  and thread-safe method set from source markers, and the blocking-call
-  tables.
+  from source markers, and the blocking-call tables.
 
-Markers (documented in DESIGN.md §6h):
-
-* ``# statcheck: loop-confined`` on (or directly above) a ``class``
-  line, or a ``@loop_confined`` decorator -- the class's methods must
-  only run on the event loop (ASYNC003);
-* ``# statcheck: thread-safe`` on (or directly above) a ``def`` line,
-  or a ``@thread_safe`` decorator -- opts one method of a confined
-  class out, for deliberately thread-side code.
+Marker (documented in DESIGN.md §6h): ``# statcheck: loop-confined`` on
+(or directly above) a ``class`` line, or a ``@loop_confined`` decorator
+-- the class's methods must only run on the event loop (ASYNC003).
 
 Everything fails open: an unresolvable call contributes no edge, an
 unannotated value has no type, and code reachable from no modeled root
@@ -438,7 +432,6 @@ def make_resolver(
 # ---------------------------------------------------------------------------
 
 _CONFINED_MARKER = re.compile(r"#\s*statcheck:\s*loop-confined\b")
-_THREAD_SAFE_MARKER = re.compile(r"#\s*statcheck:\s*thread-safe\b")
 
 
 def _has_marker(
@@ -489,8 +482,6 @@ class ContextModel:
     pool: Dict[str, str] = field(default_factory=dict)
     #: class qualnames marked ``# statcheck: loop-confined``
     loop_confined: FrozenSet[str] = frozenset()
-    #: method qualnames marked ``# statcheck: thread-safe`` (opt-out)
-    thread_safe: FrozenSet[str] = frozenset()
 
     @classmethod
     def build(cls, project: Project) -> "ContextModel":
@@ -518,19 +509,12 @@ class ContextModel:
         pool = graph.reachable_via(
             graph.worker_entries, POOL_EDGE_KINDS, enter=sync_only
         )
-        confined: Set[str] = set()
-        thread_safe: Set[str] = set()
-        for qualname in sorted(table.classes):
-            info = table.classes[qualname]
-            if _has_marker(
-                info.file, info.node, _CONFINED_MARKER
-            ) or _has_decorator(info.node, "loop_confined"):
-                confined.add(qualname)
-            for method in info.methods.values():
-                if _has_marker(
-                    method.file, method.node, _THREAD_SAFE_MARKER
-                ) or _has_decorator(method.node, "thread_safe"):
-                    thread_safe.add(method.qualname)
+        confined = {
+            qualname
+            for qualname, info in table.classes.items()
+            if _has_marker(info.file, info.node, _CONFINED_MARKER)
+            or _has_decorator(info.node, "loop_confined")
+        }
         return cls(
             table=table,
             types=types,
@@ -540,7 +524,6 @@ class ContextModel:
             thread=thread,
             pool=pool,
             loop_confined=frozenset(confined),
-            thread_safe=frozenset(thread_safe),
         )
 
     def contexts_of(self, qualname: str) -> Tuple[str, ...]:

@@ -19,8 +19,7 @@ Three rules over the :mod:`repro.statcheck.concurrency` context model:
   ``call_soon_threadsafe`` / ``run_coroutine_threadsafe`` (edges the
   thread traversal deliberately refuses to follow, so the sanctioned
   hop pattern stays clean).  ``__init__``/``__new__`` are exempt
-  (construction happens-before publication); ``# statcheck:
-  thread-safe`` opts a single method out.
+  (construction happens-before publication).
 """
 
 from __future__ import annotations
@@ -183,8 +182,6 @@ class LoopConfinementRule(Rule):
                 continue
             callee = model.table.functions.get(edge.callee)
             if callee is None or callee.name in self._EXEMPT_METHODS:
-                continue
-            if edge.callee in model.thread_safe:
                 continue
             off_loop_caller = (
                 edge.caller in model.thread or edge.caller in model.pool

@@ -146,17 +146,6 @@ class TestCanonicalJson:
         # a second call serves the spec text from the memo
         assert spliced.canonical_json() == plain
 
-    @pytest.mark.parametrize("case", sorted(SPLICE_CASES))
-    def test_group_key_is_the_plain_dump_minus_seed(self, case):
-        import json
-
-        from repro.serve.coalescer import group_key
-
-        spliced = SweepJob.make(**SPLICE_CASES[case])
-        payload = spliced.canonical_dict()
-        del payload["seed"]
-        assert group_key(spliced) == json.dumps(payload, sort_keys=True)
-
     def test_canonical_dict_is_a_fresh_dict(self, job):
         first = job.canonical_dict()
         first["benchmark"]["name"] = "mutated"
@@ -188,7 +177,6 @@ class TestResultCache:
         assert loaded.energy.total == pytest.approx(result.energy.total)
         assert loaded.energy.chip_total == pytest.approx(result.energy.chip_total)
         assert loaded.transitions == result.transitions
-        assert cache.stats() == {"hits": 1, "misses": 1, "stores": 1}
 
     def test_entries_are_sharded_gzip_files(self, tmp_path, job):
         cache = ResultCache(str(tmp_path))
@@ -265,12 +253,9 @@ class TestGetByKey:
             handle.write(b"garbage")
         assert get_by_key(key, str(tmp_path)) is None
 
-    def test_bound_method_counts_hit_and_miss(self, tmp_path, job, result):
+    def test_bound_method_fetches_hit_and_miss(self, tmp_path, job, result):
         cache = ResultCache(str(tmp_path))
         cache.put(job, result)
         key = job_cache_key(job)
         assert cache.get_by_key(key) is not None
         assert cache.get_by_key("b" * 64) is None
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1

@@ -6,6 +6,7 @@ robustness machinery is exercised without paying for real simulations.
 Parity tests use real (tiny) simulations.
 """
 
+import os
 import time
 
 import pytest
@@ -16,7 +17,6 @@ from repro.engine.scheduler import (
     EngineConfig,
     JobTimeoutError,
     SweepEngine,
-    run_sweep,
 )
 from repro.harness.experiment import run_experiment
 from repro.mcd.domains import CONTROLLED_DOMAINS
@@ -167,11 +167,6 @@ class TestRobustness:
         kinds = [e.kind for e in events]
         assert tm.POOL_UNAVAILABLE in kinds
 
-    def test_results_raises_on_exhausted_job(self):
-        engine = SweepEngine(EngineConfig(retries=0), runner=_fail_on_pid)
-        with pytest.raises(RuntimeError, match="pid"):
-            engine.results(_jobs(("adaptive", "pid")))
-
 
 class TestCacheIntegration:
     def test_second_run_is_all_cache_hits(self, tmp_path):
@@ -193,19 +188,7 @@ class TestCacheIntegration:
         engine = SweepEngine(config, runner=_fail_on_pid)
         (outcome,) = engine.run(_jobs(("pid",)))
         assert not outcome.ok
-        assert engine.cache.stores == 0
-
-
-class TestRunSweepConvenience:
-    def test_keyword_overrides(self):
-        outcomes = run_sweep(
-            _jobs(("adaptive",), max_instructions=1500), workers=1
-        )
-        assert outcomes[0].ok
-
-    def test_config_and_overrides_conflict(self):
-        with pytest.raises(TypeError):
-            run_sweep([], config=EngineConfig(), workers=2)
+        assert not os.path.exists(engine.cache.path_for(outcome.job))
 
 
 class TestTimeoutHelper:

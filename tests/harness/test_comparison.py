@@ -3,14 +3,15 @@
 import pytest
 
 from repro.harness.comparison import aggregate, compare_schemes, sweep
+from repro.harness.experiment import run_experiment
 
 
 @pytest.fixture(scope="module")
-def comparison(request):
+def spec():
     from repro.workloads.phases import BenchmarkSpec, PhaseSpec
     from repro.workloads.instructions import InstructionKind as K
 
-    spec = BenchmarkSpec(
+    return BenchmarkSpec(
         name="cmp-test",
         suite="mediabench",
         phases=(
@@ -21,6 +22,10 @@ def comparison(request):
             ),
         ),
     )
+
+
+@pytest.fixture(scope="module")
+def comparison(spec):
     return compare_schemes(spec, schemes=("adaptive", "pid"))
 
 
@@ -52,6 +57,14 @@ class TestCompareSchemes:
     def test_perf_degradation_bounded(self, comparison):
         adaptive = comparison.result_for("adaptive")
         assert adaptive.perf_degradation_pct < 25.0
+
+    def test_metrics_equal_direct_runs_exactly(self, spec, comparison):
+        runs = [("full-speed", comparison.baseline)] + [
+            (s.scheme, s.metrics) for s in comparison.schemes
+        ]
+        for scheme, metrics in runs:
+            direct = run_experiment(spec, scheme=scheme, record_history=False)
+            assert metrics == direct.metrics, scheme
 
 
 class TestAggregate:

@@ -136,29 +136,3 @@ class TestSeedForwarding:
         assert a.time_ns == b.time_ns
         assert a.energy.total == b.energy.total
         assert (a.time_ns, a.energy.total) != (c.time_ns, c.energy.total)
-
-
-class TestRunExperimentBatch:
-    def test_serial_batch_matches_single_runs(self, tiny_benchmark):
-        from repro.engine.jobs import SweepJob
-        from repro.harness.experiment import run_experiment_batch
-
-        jobs = [
-            SweepJob.make(tiny_benchmark, scheme=scheme)
-            for scheme in ("full-speed", "adaptive")
-        ]
-        batched = run_experiment_batch(jobs)
-        singles = [
-            run_experiment(tiny_benchmark, scheme=s, record_history=False)
-            for s in ("full-speed", "adaptive")
-        ]
-        for got, want in zip(batched, singles):
-            assert got.scheme == want.scheme
-            assert got.time_ns == want.time_ns
-            assert got.energy.total == want.energy.total
-
-    def test_rejects_non_engine(self, tiny_benchmark):
-        from repro.harness.experiment import run_experiment_batch
-
-        with pytest.raises(TypeError, match="SweepEngine"):
-            run_experiment_batch([], engine=object())

@@ -151,12 +151,15 @@ def test_coalescer_without_obs_never_calls_into_obs():
     import threading
 
     from repro.engine.jobs import SweepJob
+    from repro.engine.scheduler import SweepEngine
     from repro.serve.coalescer import RequestCoalescer
 
-    def stub_run_batch(benchmark, seeds, **kwargs):
-        return [f"result:{seed}" for seed in seeds]
+    def stub(job):
+        return f"result:{job.seed}"
 
-    coalescer = RequestCoalescer(max_batch=2, run_batch_fn=stub_run_batch)
+    coalescer = RequestCoalescer(
+        max_batch=2, engine_factory=lambda: SweepEngine(runner=stub)
+    )
     jobs = [SweepJob.make("adpcm-encode", scheme="adaptive", seed=seed)
             for seed in (1, 2)]
     calls = []

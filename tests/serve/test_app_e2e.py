@@ -309,3 +309,23 @@ class TestObservability:
             by_route[route] = by_route.get(route, 0) + value
         assert by_route["/v1/healthz"] >= 1 and by_route["/v1/stats"] >= 1
         assert stats["uptime_s"] > 0
+
+    def test_repeated_run_counts_as_an_engine_cache_hit(self, client):
+        """Cache hits are counted where the engines count them, on
+        /metrics; /v1/stats keeps no cache counters of its own."""
+
+        def cache_hits():
+            snap = build_snapshot(parse_prometheus(client.metrics_text()))
+            return sum(
+                value
+                for labels, value in snap["repro_engine_jobs_total"].items()
+                if dict(labels)["outcome"] == "cache_hit"
+            )
+
+        first = client.submit_run(run_spec(seed=71))
+        assert client.wait_for_job(first["id"])["state"] == "done"
+        before = cache_hits()
+        repeat = client.submit_run(run_spec(seed=71))
+        assert client.wait_for_job(repeat["id"])["state"] == "done"
+        assert cache_hits() >= before + 1
+        assert "cache" not in client.stats()

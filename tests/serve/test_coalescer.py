@@ -1,22 +1,25 @@
 """Tests for the request coalescer.
 
 The contract under test (the service's central claim): N concurrent
-single-run submissions produce at most ceil(N / max_batch) ``run_batch``
-calls, and every caller gets a result byte-identical to what a direct
-serial ``run_experiment`` would have produced.
+single-run submissions produce at most ceil(N / max_batch) engine calls,
+each request is settled from its own job outcome, and every caller gets
+a result byte-identical to what a direct serial ``run_experiment`` would
+have produced.
 """
 
 import asyncio
+import dataclasses
 import json
 import math
 
 import pytest
 
-from repro.engine.jobs import SweepJob
+from repro.engine.jobs import SweepJob, run_job
+from repro.engine.scheduler import SweepEngine
 from repro.harness.experiment import run_experiment
 from repro.harness.persistence import result_to_dict
 from repro.obs.spans import SpanRecorder
-from repro.serve.coalescer import RequestCoalescer, group_key
+from repro.serve.coalescer import RequestCoalescer
 
 
 def make_job(seed=1, **kwargs):
@@ -24,34 +27,38 @@ def make_job(seed=1, **kwargs):
     return SweepJob.make("adpcm-encode", seed=seed, **kwargs)
 
 
-class TestGroupKey:
-    def test_seed_is_not_part_of_the_key(self):
-        assert group_key(make_job(seed=1)) == group_key(make_job(seed=2))
-
-    def test_everything_else_is(self):
-        base = group_key(make_job())
-        assert group_key(make_job(scheme="pid")) != base
-        assert group_key(make_job(max_instructions=2000)) != base
-        assert group_key(make_job(record_history=True)) != base
+def marker(job):
+    """A fake runner: one marker "result" per job, no simulation."""
+    return f"{job.benchmark.name}/{job.scheme}/seed={job.seed}"
 
 
-class FakeBatcher:
-    """Records run_batch calls; returns one marker result per seed."""
+class Backend:
+    """An engine factory that records the jobs of every engine call."""
 
-    def __init__(self):
+    def __init__(self, runner=marker, **engine_kwargs):
+        self.runner = runner
+        self.engine_kwargs = engine_kwargs
         self.calls = []
 
-    def __call__(self, benchmark, scheme="adaptive", seeds=(), **kwargs):
-        seeds = list(seeds)
-        self.calls.append({"benchmark": benchmark.name, "scheme": scheme,
-                           "seeds": seeds})
-        return [f"{benchmark.name}/{scheme}/seed={s}" for s in seeds]
+    def __call__(self):
+        engine = SweepEngine(runner=self.runner, **self.engine_kwargs)
+        run = engine.run
+
+        def recorded(jobs):
+            self.calls.append(list(jobs))
+            return run(jobs)
+
+        engine.run = recorded
+        return engine
+
+    def seeds(self):
+        return [[job.seed for job in jobs] for jobs in self.calls]
 
 
 def submit_all(coalescer, jobs):
     async def _main():
         results = await asyncio.gather(
-            *[coalescer.submit(job) for job in jobs]
+            *[coalescer.submit(job) for job in jobs], return_exceptions=True
         )
         await coalescer.drain()
         return results
@@ -59,43 +66,54 @@ def submit_all(coalescer, jobs):
     return asyncio.run(_main())
 
 
+def exploding_factory():
+    engine = SweepEngine(runner=marker)
+
+    def run(jobs):
+        raise RuntimeError("backend down")
+
+    engine.run = run
+    return engine
+
+
 class TestBatching:
     def test_full_batch_cuts_immediately(self):
-        batcher = FakeBatcher()
+        backend = Backend()
         coalescer = RequestCoalescer(
-            max_batch=4, max_delay_s=60.0, run_batch_fn=batcher
+            max_batch=4, max_delay_s=60.0, engine_factory=backend
         )
         jobs = [make_job(seed=s) for s in range(1, 5)]
         results = submit_all(coalescer, jobs)
-        # one batch, one group, seeds in submission order
-        assert len(batcher.calls) == 1
-        assert batcher.calls[0]["seeds"] == [1, 2, 3, 4]
+        # one batch, one engine call, jobs in submission order
+        assert backend.seeds() == [[1, 2, 3, 4]]
         assert results == [f"adpcm-encode/adaptive/seed={s}" for s in (1, 2, 3, 4)]
 
     def test_partial_batch_flushes_on_timer(self):
-        batcher = FakeBatcher()
+        backend = Backend()
         coalescer = RequestCoalescer(
-            max_batch=8, max_delay_s=0.01, run_batch_fn=batcher
+            max_batch=8, max_delay_s=0.01, engine_factory=backend
         )
         results = submit_all(coalescer, [make_job(seed=7)])
-        assert len(batcher.calls) == 1
+        assert backend.seeds() == [[7]]
         assert results == ["adpcm-encode/adaptive/seed=7"]
 
     def test_ceiling_bound_on_run_batch_calls(self):
-        batcher = FakeBatcher()
+        backend = Backend()
         n, max_batch = 10, 4
         coalescer = RequestCoalescer(
-            max_batch=max_batch, max_delay_s=0.01, run_batch_fn=batcher
+            max_batch=max_batch, max_delay_s=0.01, engine_factory=backend
         )
         jobs = [make_job(seed=s) for s in range(n)]
         submit_all(coalescer, jobs)
-        assert len(batcher.calls) <= math.ceil(n / max_batch)
-        assert sorted(s for c in batcher.calls for s in c["seeds"]) == list(range(n))
+        assert len(backend.calls) <= math.ceil(n / max_batch)
+        assert sorted(s for seeds in backend.seeds() for s in seeds) == list(range(n))
 
-    def test_heterogeneous_jobs_split_into_groups(self):
-        batcher = FakeBatcher()
+    def test_mixed_configs_share_one_engine_call(self):
+        """Three jobs in two configs: one engine call, submission order,
+        and each result byte-identical to a direct run_experiment."""
+        backend = Backend(runner=run_job)
         coalescer = RequestCoalescer(
-            max_batch=4, max_delay_s=0.01, run_batch_fn=batcher
+            max_batch=3, max_delay_s=60.0, engine_factory=backend
         )
         jobs = [
             make_job(seed=1),
@@ -103,42 +121,52 @@ class TestBatching:
             make_job(seed=3),
         ]
         results = submit_all(coalescer, jobs)
-        # one flush, two groups -> two run_batch calls
-        assert len(batcher.calls) == 2
-        by_scheme = {c["scheme"]: c["seeds"] for c in batcher.calls}
-        assert by_scheme == {"adaptive": [1, 3], "pid": [2]}
-        # each caller still got its own seed's result
-        assert results[1] == "adpcm-encode/pid/seed=2"
+        assert backend.calls == [jobs]
+        for job, result in zip(jobs, results):
+            direct = run_experiment(
+                "adpcm-encode",
+                scheme=job.scheme,
+                seed=job.seed,
+                max_instructions=1500,
+                record_history=False,
+            )
+            assert json.dumps(result_to_dict(result), sort_keys=True) == (
+                json.dumps(result_to_dict(direct), sort_keys=True)
+            ), f"{job.scheme} seed {job.seed} diverged from run_experiment"
 
-    def test_batch_failure_propagates_to_all_awaiters(self):
-        def exploding(*args, **kwargs):
-            raise RuntimeError("backend down")
+    def test_failing_job_fails_only_its_own_request(self):
+        def runner(job):
+            if job.seed == 2:
+                raise ValueError("seed 2 exploded")
+            return marker(job)
 
         coalescer = RequestCoalescer(
-            max_batch=2, max_delay_s=0.01, run_batch_fn=exploding
+            max_batch=2, max_delay_s=0.01, engine_factory=Backend(runner)
         )
+        ok, failed = submit_all(coalescer, [make_job(seed=1), make_job(seed=2)])
+        assert ok == "adpcm-encode/adaptive/seed=1"
+        assert isinstance(failed, RuntimeError)
+        assert "ValueError: seed 2 exploded" in str(failed)
 
-        async def _main():
-            return await asyncio.gather(
-                coalescer.submit(make_job(seed=1)),
-                coalescer.submit(make_job(seed=2)),
-                return_exceptions=True,
-            )
-
-        results = asyncio.run(_main())
+    def test_batch_failure_propagates_to_all_awaiters(self):
+        coalescer = RequestCoalescer(
+            max_batch=2, max_delay_s=0.01, engine_factory=exploding_factory
+        )
+        results = submit_all(coalescer, [make_job(seed=1), make_job(seed=2)])
         assert all(isinstance(r, RuntimeError) for r in results)
         assert all("backend down" in str(r) for r in results)
 
     def test_stats_accounting(self):
-        batcher = FakeBatcher()
+        backend = Backend()
         coalescer = RequestCoalescer(
-            max_batch=2, max_delay_s=0.01, run_batch_fn=batcher
+            max_batch=2, max_delay_s=0.01, engine_factory=backend
         )
         submit_all(coalescer, [make_job(seed=s) for s in range(4)])
         stats = coalescer.stats()
         assert stats["submitted"] == 4
         assert stats["batched_runs"] == 4
-        assert stats["run_batch_calls"] == len(batcher.calls)
+        # one engine call per flush
+        assert stats["run_batch_calls"] == stats["flushes"] == len(backend.calls)
         assert stats["pending"] == 0
 
     @pytest.mark.parametrize("bad", [dict(max_batch=0), dict(max_delay_s=-1)])
@@ -148,8 +176,8 @@ class TestBatching:
 
 
 class TestSpans:
-    """Each flush records one ``coalescer.flush`` span with one
-    ``coalescer.run_batch`` child per config group."""
+    """Each flush records one ``coalescer.flush`` span; the engine's
+    ``job:`` spans nest under their own requests' span contexts."""
 
     @staticmethod
     def _by_name(tracer):
@@ -158,50 +186,43 @@ class TestSpans:
             spans.setdefault(span["name"], []).append(span)
         return spans
 
-    def test_flush_and_group_spans_are_recorded(self):
+    def test_job_spans_nest_under_their_requests(self):
         tracer = SpanRecorder()
-        coalescer = RequestCoalescer(
-            max_batch=4, max_delay_s=0.01, run_batch_fn=FakeBatcher(),
-            tracer=tracer,
-        )
-        submit_all(coalescer, [
-            make_job(seed=1),
-            make_job(seed=2, scheme="pid"),
-            make_job(seed=3),
-        ])
-        spans = self._by_name(tracer)
-        (flush,) = spans["coalescer.flush"]
-        assert flush["attrs"] == {"requests": 3, "groups": 2}
-        groups = spans["coalescer.run_batch"]
-        assert sorted(g["attrs"]["runs"] for g in groups) == [1, 2]
-        for group in groups:
-            assert group["parent_id"] == flush["span_id"]
-            assert group["trace_id"] == flush["trace_id"]
-            assert "error" not in group["attrs"]
-
-    def test_failed_group_span_is_recorded_with_its_error(self):
-        def exploding(*args, **kwargs):
-            raise RuntimeError("backend down")
-
-        tracer = SpanRecorder()
-        coalescer = RequestCoalescer(
-            max_batch=2, max_delay_s=0.01, run_batch_fn=exploding,
-            tracer=tracer,
-        )
-
-        async def _main():
-            return await asyncio.gather(
-                coalescer.submit(make_job(seed=1)),
-                coalescer.submit(make_job(seed=2)),
-                return_exceptions=True,
+        roots = {seed: tracer.start(f"run:{seed}") for seed in (1, 2, 3)}
+        jobs = [
+            dataclasses.replace(
+                make_job(seed=seed, scheme=scheme), span=roots[seed].context
             )
-
-        assert all(isinstance(r, RuntimeError) for r in asyncio.run(_main()))
+            for seed, scheme in ((1, "adaptive"), (2, "pid"), (3, "adaptive"))
+        ]
+        coalescer = RequestCoalescer(
+            max_batch=3, max_delay_s=0.01, tracer=tracer,
+            engine_factory=Backend(runner=run_job, tracer=tracer),
+        )
+        submit_all(coalescer, jobs)
         spans = self._by_name(tracer)
         (flush,) = spans["coalescer.flush"]
-        (group,) = spans["coalescer.run_batch"]
-        assert group["parent_id"] == flush["span_id"]
-        assert group["attrs"]["error"] == "RuntimeError: backend down"
+        assert flush["attrs"] == {"requests": 3}
+        job_spans = [
+            span for name, found in spans.items() if name.startswith("job:")
+            for span in found
+        ]
+        assert len(job_spans) == 3
+        for span in job_spans:
+            root = roots[span["attrs"]["seed"]]
+            assert span["trace_id"] == root.trace_id
+            assert span["parent_id"] == root.span_id
+
+    def test_failed_flush_span_is_recorded_with_its_error(self):
+        tracer = SpanRecorder()
+        coalescer = RequestCoalescer(
+            max_batch=2, max_delay_s=0.01, engine_factory=exploding_factory,
+            tracer=tracer,
+        )
+        results = submit_all(coalescer, [make_job(seed=1), make_job(seed=2)])
+        assert all(isinstance(r, RuntimeError) for r in results)
+        (flush,) = self._by_name(tracer)["coalescer.flush"]
+        assert flush["attrs"]["error"] == "RuntimeError: backend down"
 
 
 class TestSerialIdentity:
@@ -211,22 +232,16 @@ class TestSerialIdentity:
     MAX_BATCH = 3
 
     def test_concurrent_submissions_match_serial_results(self):
-        counting = {"calls": 0}
-        from repro.simcore import run_batch
-
-        def counted_run_batch(*args, **kwargs):
-            counting["calls"] += 1
-            return run_batch(*args, **kwargs)
-
+        backend = Backend(runner=run_job)
         coalescer = RequestCoalescer(
             max_batch=self.MAX_BATCH,
             max_delay_s=0.05,
-            run_batch_fn=counted_run_batch,
+            engine_factory=backend,
         )
         jobs = [make_job(seed=seed) for seed in range(1, self.N + 1)]
         coalesced = submit_all(coalescer, jobs)
 
-        assert counting["calls"] <= math.ceil(self.N / self.MAX_BATCH)
+        assert len(backend.calls) <= math.ceil(self.N / self.MAX_BATCH)
 
         for job, result in zip(jobs, coalesced):
             serial = run_experiment(

@@ -1,4 +1,4 @@
-"""Unit tests for the simcore package API: selection, tables, batching."""
+"""Unit tests for the simcore package API: selection and tables."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.simcore import (
     create_processor,
     processor_class,
     resolve_core,
-    run_batch,
     tables_for,
 )
 
@@ -98,43 +97,6 @@ class TestSimTables:
         tables = tables_for(machine, PowerModel())
         for freq in (machine.f_min_ghz, 0.8, machine.f_max_ghz):
             assert tables.voltage_for(freq) == machine.voltage_for(freq)
-
-
-class TestRunBatch:
-    def test_results_in_seed_order_match_single_runs(self, tiny_benchmark):
-        from repro.harness.experiment import run_experiment
-
-        seeds = (3, 1, 2)
-        batch = run_batch(
-            tiny_benchmark, scheme="adaptive", seeds=seeds, simcore="fast"
-        )
-        assert len(batch) == len(seeds)
-        for seed, result in zip(seeds, batch):
-            single = run_experiment(
-                tiny_benchmark, scheme="adaptive", seed=seed, simcore="fast"
-            )
-            assert result.time_ns == single.time_ns
-            assert result.energy.total == single.energy.total
-
-    def test_empty_seeds_raises(self, tiny_benchmark):
-        with pytest.raises(ValueError, match="at least one seed"):
-            run_batch(tiny_benchmark, seeds=())
-
-    def test_batch_goes_through_engine_cache(self, tiny_benchmark, tmp_path):
-        from repro.engine import EngineConfig, SweepEngine
-
-        engine = SweepEngine(
-            EngineConfig(cache_dir=str(tmp_path), progress=False)
-        )
-        run_batch(tiny_benchmark, seeds=(1, 2), engine=engine, simcore="fast")
-        summary = engine.telemetry.summary()
-        assert summary["jobs_run"] == 2
-
-        engine2 = SweepEngine(
-            EngineConfig(cache_dir=str(tmp_path), progress=False)
-        )
-        run_batch(tiny_benchmark, seeds=(1, 2), engine=engine2, simcore="fast")
-        assert engine2.telemetry.summary()["cache_hits"] == 2
 
 
 class TestCacheKeying:

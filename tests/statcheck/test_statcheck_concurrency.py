@@ -179,9 +179,6 @@ class TestContextModel:
             "class Store:\n"
             "    def put(self):\n"
             "        pass\n"
-            "    # statcheck: thread-safe\n"
-            "    def safe(self):\n"
-            "        pass\n"
             "def loop_confined(cls):\n"
             "    return cls\n"
             "@loop_confined\n"
@@ -190,8 +187,6 @@ class TestContextModel:
         )))
         assert "m.Store" in model.loop_confined
         assert "m.Decorated" in model.loop_confined
-        assert "m.Store.safe" in model.thread_safe
-        assert "m.Store.put" not in model.thread_safe
 
     def test_contexts_of_is_sorted_union(self):
         model = context_model(_project((
