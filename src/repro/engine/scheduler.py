@@ -6,10 +6,12 @@ Execution model
   optional content-addressed :class:`~repro.engine.cache.ResultCache`;
   hits never reach a worker.
 * Remaining jobs run on a :class:`concurrent.futures.ProcessPoolExecutor`
-  (``workers > 1``) or in-process (``workers == 1``).  If the pool cannot
-  be created or breaks mid-sweep, the engine falls back to in-process
-  serial execution for whatever is left -- a sweep degrades, it does not
-  abort.
+  (``workers > 1``) or in-process (``workers == 1``), jobs that share a
+  trace (benchmark, ``max_instructions``, seed) back to back, so a
+  process reuses the trace its previous job generated.  If the pool
+  cannot be created or breaks mid-sweep, the engine falls back to
+  in-process serial execution for whatever is left -- a sweep degrades,
+  it does not abort.
 * A per-job wall-clock timeout is enforced *inside* the executing
   process via ``SIGALRM`` (tasks run on the worker's main thread), so a
   runaway job raises :class:`JobTimeoutError` instead of wedging a pool
@@ -24,8 +26,9 @@ Execution model
   so an interrupted sweep flushes its telemetry and cache writes instead
   of orphaning pool workers.
 
-Outcomes are returned in input-job order regardless of completion order,
-so pool and serial execution are interchangeable downstream.
+Outcomes are returned in input-job order regardless of execution and
+completion order, so pool and serial execution are interchangeable
+downstream.
 """
 
 from __future__ import annotations
@@ -170,6 +173,24 @@ def _pool_entry(
 _PoolResult = Tuple[SimulationResult, Optional[Dict[str, Any]]]
 
 
+def _by_trace(jobs: Sequence[SweepJob], indices: List[int]) -> List[int]:
+    """``indices`` with jobs that share a trace back to back.
+
+    Groups run in order of first appearance, and each keeps input order.
+    The key only orders jobs, so it takes the spec's name rather than
+    hashing its content again: specs that share a name but not their
+    content still run correctly, they just miss the trace memo
+    (``repro.harness.experiment``).
+    """
+    groups: Dict[Tuple[str, Optional[int], int], List[int]] = {}
+    for index in indices:
+        job = jobs[index]
+        spec = job.benchmark
+        seed = spec.seed if job.seed is None else job.seed
+        groups.setdefault((spec.name, job.max_instructions, seed), []).append(index)
+    return [index for group in groups.values() for index in group]
+
+
 class SweepEngine:
     """Orchestrates one sweep: cache, pool, retries, telemetry."""
 
@@ -302,6 +323,7 @@ class SweepEngine:
             else:
                 pending.append(index)
 
+        pending = _by_trace(jobs, pending)
         hits = len(jobs) - len(pending)
         if self._m_cache_ratio is not None and jobs:
             self._m_cache_ratio.set(hits / len(jobs))

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+import pickle
+from typing import Dict, Optional, Tuple, Union
 
 from repro.core.config import (
     default_adaptive_config,
@@ -16,6 +17,7 @@ from repro.mcd.domains import CONTROLLED_DOMAINS, DomainId, MachineConfig
 from repro.mcd.processor import SimulationResult
 from repro.simcore import create_processor
 from repro.workloads.generator import generate_trace
+from repro.workloads.instructions import Instruction
 from repro.workloads.phases import BenchmarkSpec
 from repro.workloads.suite import get_benchmark
 
@@ -29,6 +31,40 @@ SCHEMES = ("full-speed", "adaptive", "attack-decay", "pid", "centralized")
 #: adaptive and PID schemes so the comparison targets the same operating
 #: point.
 _Q_REF = {DomainId.INT: 6, DomainId.FP: 4, DomainId.LS: 4}
+
+#: the latest trace this process generated, as ``(key, trace)`` with key
+#: ``(pickled spec, max_instructions, effective seed)``.  One entry is
+#: enough because the sweep engine runs jobs that share a trace back to
+#: back.  Serve's executor threads may race on it; the entry is replaced
+#: by one rebinding, so the worst case is a redundant generation.
+_last_trace: Optional[
+    Tuple[Tuple[bytes, Optional[int], int], Tuple[Instruction, ...]]
+] = None
+
+
+def _trace_for(
+    spec: BenchmarkSpec, max_instructions: Optional[int], seed: int
+) -> Tuple[Instruction, ...]:
+    """The trace of ``spec``; consecutive calls with equal keys share one.
+
+    The key is the spec's pickled bytes, not its name or ``id()``: pool
+    workers unpickle a fresh spec for every job, and two custom specs may
+    share a name.  Nor is it dataclass equality, which ignores the order
+    of a phase's ``mix`` dict, while the generator's draws depend on it.
+    Schemes never mutate a trace, so consecutive runs share the tuple.
+    """
+    global _last_trace
+    key = (
+        pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL),
+        max_instructions,
+        seed,
+    )
+    last = _last_trace
+    if last is not None and last[0] == key:
+        return last[1]
+    trace = tuple(generate_trace(spec, max_instructions=max_instructions, seed=seed))
+    _last_trace = (key, trace)
+    return trace
 
 
 def build_controllers(
@@ -118,6 +154,9 @@ def run_experiment(
     ``simcore`` selects the simulation core (``"ref"``/``"fast"``); ``None``
     defers to the ``REPRO_SIMCORE`` environment variable -- both cores are
     bit-identical, so this never changes results, only throughput.
+    The trace depends only on ``(spec, max_instructions, seed)``, never on
+    the scheme, so a run reuses the trace of the process's previous run
+    when those are equal (the sweep engine orders jobs to make it so).
     """
     spec = get_benchmark(benchmark) if isinstance(benchmark, str) else benchmark
     machine = machine or MachineConfig()
@@ -125,7 +164,7 @@ def run_experiment(
     # jitter RNG: an explicit ``seed`` overrides the spec's default for both
     # (previously the override never reached the processor).
     effective_seed = spec.seed if seed is None else seed
-    trace = generate_trace(spec, max_instructions=max_instructions, seed=seed)
+    trace = _trace_for(spec, max_instructions, effective_seed)
     controllers = build_controllers(
         scheme,
         machine=machine,

@@ -8,8 +8,9 @@ bursts of them into lists of jobs for :meth:`repro.engine.SweepEngine.run`:
   a timer flushes whatever arrived within ``max_delay_s`` (so a lone
   request pays at most the coalescing window in added latency);
 * each flushed batch is one ``engine.run`` call over its jobs, in
-  submission order, whatever their configs -- so N concurrent requests
-  cost ceil(N / max_batch) backend calls;
+  submission order, same-trace jobs back to back, whatever their
+  configs -- so N concurrent requests cost ceil(N / max_batch) backend
+  calls;
 * each request is settled from its own :class:`JobOutcome`, so a failing
   run fails only its own request;
 * results are content-identical to serial execution: the engine runs

@@ -26,9 +26,9 @@ purely from how the same arithmetic is dispatched, never from changing it:
   only when the observability layer is attached;
 * **parked clocks** -- a clock whose next edges can only spin (an issue
   queue waiting on a producer that has not issued, a front end behind an
-  unissued mispredicted branch) leaves the heap; a tight loop before each
-  pop replays its owed edges until a completion, a dispatch, its time bound
-  or a relock pause puts it back.
+  unissued mispredicted branch or done dispatching the trace) leaves the
+  heap; a tight loop before each pop replays its owed edges until a
+  completion, a dispatch, its time bound or a relock pause puts it back.
 
 The bit-identical contract imposes hard rules on every edit here: float
 expressions must keep the reference's operand order and association
@@ -846,13 +846,11 @@ class FastMCDProcessor(MCDProcessor):
                                 heappush(heap, (next_edge[0], 0, seq, 0))
                             elif fe_last_stall == "queue_full" or fe_last_stall == "rob_full":
                                 fe_sleeping = True
-                            elif (
-                                fe_last_stall == "branch"
-                                and not retired_now
-                                and fe_blocked.done_ns == _INF
-                            ):
-                                # behind an unissued mispredicted branch:
-                                # every edge before the ROB head completes
+                            elif not retired_now:
+                                # no hint and nothing retired: the whole
+                                # trace is dispatched, or the front end is
+                                # behind an unissued mispredicted branch.
+                                # Every edge before the ROB head completes
                                 # only spins, so park
                                 pk.append(0)
                                 b = rob_entries[0].done_ns

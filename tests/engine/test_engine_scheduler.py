@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.engine import telemetry as tm
-from repro.engine.jobs import SweepJob, run_job
+from repro.engine.jobs import SweepJob
 from repro.engine.scheduler import (
     EngineConfig,
     JobTimeoutError,
@@ -87,6 +87,47 @@ class TestParity:
             assert p.result.energy.total == s.result.energy.total
             assert p.result.time_ns == s.result.time_ns
             assert p.result.transitions == s.result.transitions
+
+
+class TestTraceGrouping:
+    """Jobs that share a trace run back to back, so each process
+    generates a (benchmark, seed) trace once whatever the job order."""
+
+    def test_seed_innermost_grid_generates_each_trace_once(self, monkeypatch):
+        import repro.harness.experiment as experiment_module
+
+        generated = []
+        real_generate = experiment_module.generate_trace
+
+        def spy_generate(spec, max_instructions=None, seed=None):
+            generated.append((spec.name, seed))
+            return real_generate(spec, max_instructions=max_instructions, seed=seed)
+
+        monkeypatch.setattr(experiment_module, "_last_trace", None)
+        monkeypatch.setattr(experiment_module, "generate_trace", spy_generate)
+        jobs = [
+            SweepJob.make(bench, scheme, max_instructions=300, seed=seed)
+            for bench in ("adpcm-encode", "gzip")
+            for scheme in ("adaptive", "pid")
+            for seed in (3, 4)
+        ]
+        engine = SweepEngine(EngineConfig(workers=1))
+        started = []
+        engine.telemetry.add_listener(
+            lambda e: started.append(e.job_id) if e.kind == tm.JOB_STARTED else None
+        )
+        outcomes = engine.run(jobs)
+        assert generated == [
+            ("adpcm-encode", 3), ("adpcm-encode", 4), ("gzip", 3), ("gzip", 4),
+        ]
+        assert [o.job for o in outcomes] == jobs
+        assert all(o.ok for o in outcomes)
+        # per (benchmark, seed) group: adaptive then pid, in input order
+        assert started == [
+            "adpcm-encode/adaptive", "adpcm-encode/pid",
+            "adpcm-encode/adaptive", "adpcm-encode/pid",
+            "gzip/adaptive", "gzip/pid", "gzip/adaptive", "gzip/pid",
+        ]
 
 
 class TestRobustness:

@@ -6,7 +6,7 @@ from repro.core.controller import AdaptiveDvfsController
 from repro.dvfs.attack_decay import AttackDecayController
 from repro.dvfs.pid import PidController
 from repro.harness.experiment import SCHEMES, build_controllers, run_experiment
-from repro.mcd.domains import CONTROLLED_DOMAINS, DomainId, MachineConfig
+from repro.mcd.domains import CONTROLLED_DOMAINS, DomainId
 
 
 class TestBuildControllers:
@@ -136,3 +136,150 @@ class TestSeedForwarding:
         assert a.time_ns == b.time_ns
         assert a.energy.total == b.energy.total
         assert (a.time_ns, a.energy.total) != (c.time_ns, c.energy.total)
+
+
+@pytest.fixture
+def generations(monkeypatch):
+    """Count real trace generations, starting from an empty trace memo."""
+    import repro.harness.experiment as experiment_module
+
+    calls = []
+    real_generate = experiment_module.generate_trace
+
+    def spy_generate(spec, max_instructions=None, seed=None):
+        calls.append((spec.name, max_instructions, seed))
+        return real_generate(spec, max_instructions=max_instructions, seed=seed)
+
+    monkeypatch.setattr(experiment_module, "_last_trace", None)
+    monkeypatch.setattr(experiment_module, "generate_trace", spy_generate)
+    return calls
+
+
+class TestTraceReuse:
+    """A trace depends on (spec, max_instructions, seed), never on the
+    scheme, so consecutive runs that share those generate it once."""
+
+    def test_second_scheme_reuses_the_trace(self, generations):
+        run_experiment("adpcm-encode", scheme="adaptive", max_instructions=400, seed=5)
+        run_experiment("adpcm-encode", scheme="pid", max_instructions=400, seed=5)
+        assert generations == [("adpcm-encode", 400, 5)]
+
+    def test_equal_spec_from_a_pickle_round_trip_reuses(self, generations):
+        import pickle
+
+        from repro.workloads.suite import get_benchmark
+
+        spec = get_benchmark("gzip")
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy is not spec
+        run_experiment(spec, scheme="adaptive", max_instructions=400)
+        run_experiment(copy, scheme="pid", max_instructions=400)
+        assert len(generations) == 1
+
+    def test_other_seed_or_window_regenerates(self, generations):
+        run_experiment("adpcm-encode", max_instructions=400, seed=5)
+        run_experiment("adpcm-encode", max_instructions=400, seed=6)
+        run_experiment("adpcm-encode", max_instructions=500, seed=6)
+        assert generations == [
+            ("adpcm-encode", 400, 5),
+            ("adpcm-encode", 400, 6),
+            ("adpcm-encode", 500, 6),
+        ]
+
+    def test_same_name_with_other_phase_field_regenerates(
+        self, generations, tiny_benchmark
+    ):
+        import dataclasses
+
+        changed = dataclasses.replace(
+            tiny_benchmark,
+            phases=(
+                dataclasses.replace(tiny_benchmark.phases[0], dep_density=0.3),
+            )
+            + tiny_benchmark.phases[1:],
+        )
+        assert changed.name == tiny_benchmark.name
+        first = run_experiment(tiny_benchmark, max_instructions=400, seed=5)
+        second = run_experiment(changed, max_instructions=400, seed=5)
+        assert len(generations) == 2
+        assert first.time_ns != second.time_ns
+
+    def test_reordered_mix_regenerates(self, generations, tiny_benchmark):
+        import dataclasses
+
+        from repro.workloads.generator import generate_trace
+
+        phase = tiny_benchmark.phases[0]
+        reordered = dataclasses.replace(
+            phase, mix=dict(reversed(list(phase.mix.items())))
+        )
+        spec = dataclasses.replace(
+            tiny_benchmark, phases=(reordered,) + tiny_benchmark.phases[1:]
+        )
+        # equal as dataclasses, yet the generator draws kinds in mix order
+        assert spec == tiny_benchmark
+        assert generate_trace(spec, 400, 5) != generate_trace(tiny_benchmark, 400, 5)
+        run_experiment(tiny_benchmark, max_instructions=400, seed=5)
+        run_experiment(spec, max_instructions=400, seed=5)
+        assert len(generations) == 2
+
+    def test_racing_threads_each_get_their_own_trace(self, monkeypatch):
+        """Serve's executor threads share the memo without a lock: a race
+        may regenerate a trace, but never hands out another key's."""
+        import sys
+        import threading
+
+        import repro.harness.experiment as experiment_module
+        from repro.workloads.generator import generate_trace
+        from repro.workloads.suite import get_benchmark
+
+        monkeypatch.setattr(experiment_module, "_last_trace", None)
+        spec = get_benchmark("adpcm-encode")
+        expected = {seed: tuple(generate_trace(spec, 60, seed)) for seed in (1, 2, 3)}
+        wrong = []
+
+        def hammer(offset):
+            for i in range(40):
+                seed = 1 + (i + offset) % 3
+                if experiment_module._trace_for(spec, 60, seed) != expected[seed]:
+                    wrong.append(seed)
+
+        threads = [threading.Thread(target=hammer, args=(k,)) for k in range(8)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("core", ["ref", "fast"])
+    def test_memo_trace_gives_the_fresh_trace_result(
+        self, generations, monkeypatch, core
+    ):
+        import json
+
+        import repro.harness.experiment as experiment_module
+        from repro.harness.persistence import result_to_dict
+
+        def pid_run():
+            result = run_experiment(
+                "gzip", scheme="pid", max_instructions=600, seed=9,
+                record_history=True, simcore=core,
+            )
+            return json.dumps(
+                result_to_dict(result, include_history=True), sort_keys=True
+            )
+
+        fresh = pid_run()
+        monkeypatch.setattr(experiment_module, "_last_trace", None)
+        run_experiment(
+            "gzip", scheme="adaptive", max_instructions=600, seed=9, simcore=core
+        )
+        from_memo = pid_run()
+        assert len(generations) == 2  # the second pid run generated nothing
+        assert from_memo == fresh

@@ -5,8 +5,6 @@ the real source tree.
 
 import os
 
-from conftest import IN_SCOPE
-
 from repro.statcheck import Analyzer, SourceFile
 from repro.statcheck.callgraph import CallGraph
 from repro.statcheck.concurrency import ContextModel, context_model
