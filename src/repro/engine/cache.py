@@ -35,9 +35,13 @@ from repro.mcd.processor import SimulationResult
 #: 4: the "batch" core joined CORES; bumping keeps any pre-batch artifact
 #:    (written while "batch" was an invalid core name) from ever being
 #:    served to the new backend's lookups.  The batch core has since been
-#:    retired; "ref" and "fast" keys never changed, so the version stays
-#:    (tests/engine/test_engine_cache.py pins one key per core).
-CACHE_VERSION = 4
+#:    retired; "ref" and "fast" keys never changed with it.
+#: 5: each phase's ``mix`` is keyed as ordered ``[kind, weight]`` pairs.
+#:    Version-4 keys sorted it, so two specs listing one mix in different
+#:    orders shared a key although the generator draws in that order and
+#:    gives them different traces.
+#: tests/engine/test_engine_cache.py pins one key per core.
+CACHE_VERSION = 5
 
 #: keys are sha256 hex digests; anything else (``../`` traversal, short
 #: prefixes) is rejected before touching the filesystem.

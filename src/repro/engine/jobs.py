@@ -78,7 +78,7 @@ class SweepJob:
         This is the payload the content-addressed cache hashes; any field
         that can change the simulation's outcome must appear here.
         """
-        payload = {"benchmark": _plain(dataclasses.asdict(self.benchmark))}
+        payload = {"benchmark": _spec_plain(self.benchmark)}
         payload.update(self._settings())
         return payload
 
@@ -138,12 +138,27 @@ def _spec_json(spec: BenchmarkSpec) -> str:
         hit = _SPEC_JSON.get(id(spec))
     if hit is not None:
         return hit[1]
-    text = json.dumps(_plain(dataclasses.asdict(spec)), sort_keys=True)
+    text = json.dumps(_spec_plain(spec), sort_keys=True)
     with _SPEC_JSON_LOCK:
         _SPEC_JSON[id(spec)] = (spec, text)
         while len(_SPEC_JSON) > _SPEC_JSON_MAX:
             _SPEC_JSON.popitem(last=False)
     return text
+
+
+def _spec_plain(spec: BenchmarkSpec) -> Dict[str, Any]:
+    """The spec's plain form, each phase's ``mix`` as ordered pairs.
+
+    The generator assigns instruction kinds by cumulative weight in the
+    ``mix`` dict's insertion order, so two phases that list the same
+    weights in another order make different traces.  A mapping would be
+    re-sorted (by :func:`_plain` and by ``json.dumps(sort_keys=True)``),
+    so ``mix`` becomes a list of ``[kind, weight]`` pairs in its own order.
+    """
+    plain: Dict[str, Any] = _plain(dataclasses.asdict(spec))
+    for phase, plain_phase in zip(spec.phases, plain["phases"]):
+        plain_phase["mix"] = [[str(kind), w] for kind, w in phase.mix.items()]
+    return plain
 
 
 def _plain(value: Any) -> Any:

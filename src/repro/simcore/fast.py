@@ -16,10 +16,15 @@ purely from how the same arithmetic is dispatched, never from changing it:
   profiled as ~8% of reference wall time);
 * **tag-indexed wake scheduler** -- :class:`repro.simcore.wheel.EventWheel`
   lists replace the ``Dict[DomainId, ...]`` sleep/timer/generation maps;
-* **lookup tables** -- :class:`repro.simcore.tables.SimTables` memoizes
-  V(f), 1/f, per-cycle energy coefficients and per-sample background energy,
-  keyed by the exact float inputs so a table hit returns the bit-exact value
-  the reference would recompute;
+* **frequency-keyed rows** -- a slewing domain-tick fetches one
+  :class:`repro.simcore.tables.SimTables` row for its new frequency: V(f),
+  the awake and asleep background energy and the three per-cycle energy
+  coefficients, each the bit-exact value the reference would recompute; a
+  domain that is not slewing keeps the row of its frequency;
+* **no controller call during an Act** -- while an exact
+  ``AdaptiveDvfsController``'s switch is in progress, ``observe`` would only
+  store the occupancy for the next slope, so the sample tick stores it
+  itself;
 * **allocation-free sampling** -- occupancies latch into scalars, the
   issue scan reuses one buffer, and history appends go through pre-bound
   methods; the only dict built per sample is the probe-emission payload, and
@@ -50,6 +55,7 @@ from math import ceil, cos, log, pi, sin, sqrt
 from time import perf_counter
 from typing import Optional
 
+from repro.core.controller import AdaptiveDvfsController
 from repro.mcd.domains import (
     CONTROLLED_DOMAINS,
     FU_LATENCY_CYCLES,
@@ -131,14 +137,36 @@ class FastMCDProcessor(MCDProcessor):
         self._branch_arr = is_branch
 
         # --- per-sample row structures (built once, iterated per sample) --
-        self._ctrl_rows = [
-            (_EDGE_TAG[d], d, self.controllers[d], self.regulators[d])
-            for d in CONTROLLED_DOMAINS
-            if self.controllers.get(d) is not None
-        ]
-        self._slew_rows = [
-            (_EDGE_TAG[d], self.regulators[d]) for d in CONTROLLED_DOMAINS
-        ]
+        # An AdaptiveDvfsController also brings its scheduler and monitor:
+        # during an Act the sample tick stores the occupancy itself instead
+        # of calling observe.  Subclasses may override observe, so only the
+        # exact class qualifies.
+        self._ctrl_rows = []
+        for d in CONTROLLED_DOMAINS:
+            ctrl = self.controllers.get(d)
+            if ctrl is None:
+                continue
+            adaptive = type(ctrl) is AdaptiveDvfsController
+            self._ctrl_rows.append(
+                (
+                    _EDGE_TAG[d],
+                    d,
+                    ctrl,
+                    self.regulators[d],
+                    ctrl.scheduler if adaptive else None,
+                    ctrl.monitor if adaptive else None,
+                )
+            )
+        # per domain: its regulator, the regulator's constant per-sample
+        # slew bound and its negation, and the domain's row dict
+        self._slew_rows = []
+        for d in CONTROLLED_DOMAINS:
+            reg = self.regulators[d]
+            max_move = reg.slew_ghz_per_ns * self.config.sample_period_ns
+            tag = _EDGE_TAG[d]
+            self._slew_rows.append(
+                (tag, reg, max_move, -max_move, self._tables.rows[tag])
+            )
         self._rec_rows = [
             (
                 _EDGE_TAG[d],
@@ -150,18 +178,6 @@ class FastMCDProcessor(MCDProcessor):
             )
             for d in CONTROLLED_DOMAINS
         ]
-        # last-seen voltage per tag: skips coefficient refresh while steady
-        self._coeff_v = [
-            self.config.v_max,
-            self.regulators[DomainId.INT].voltage,
-            self.regulators[DomainId.FP].voltage,
-            self.regulators[DomainId.LS].voltage,
-        ]
-        # last-seen (voltage, freq) per tag for the background-energy pair
-        self._bg_v: list = [None, None, None, None]
-        self._bg_f: list = [None, None, None, None]
-        self._bg_awake = [0.0, 0.0, 0.0, 0.0]
-        self._bg_asleep = [0.0, 0.0, 0.0, 0.0]
         # reused buffers: the allocation-free sample/issue paths
         self._occ_buf = [0, 0, 0, 0]
         self._issued_buf: list = []
@@ -321,21 +337,20 @@ class FastMCDProcessor(MCDProcessor):
         iw0 = iw[0]
 
         tables = self._tables
-        vtab = tables.voltage
-        vtab_get = vtab.get
-        voltage_for = cfg.voltage_for
-        ctab = tables.coeff
-        btab = tables.background
-        params_by_tag = tables.params_by_tag
+        row_for = tables.row
         fe_bg_e = tables.fe_background_e
-        coeff_v = self._coeff_v
-        bg_v = self._bg_v
-        bg_f = self._bg_f
-        bg_awake = self._bg_awake
-        bg_asleep = self._bg_asleep
-
         ctrl_rows = self._ctrl_rows
         slew_rows = self._slew_rows
+        # Each domain's per-sample background energy, awake and asleep, at
+        # its current frequency.  Only a slewing tick moves the frequency,
+        # and it refreshes these and the energy coefficients from the new
+        # frequency's row, so a domain that is not slewing keeps them.
+        bg_awake = [0.0, 0.0, 0.0, 0.0]
+        bg_asleep = [0.0, 0.0, 0.0, 0.0]
+        for dtag, reg, _, _, _ in slew_rows:
+            _, bg_awake[dtag], bg_asleep[dtag], abe[dtag], ase[dtag], ge[dtag] = (
+                row_for(dtag, reg._current_ghz)
+            )
         rec_rows = self._rec_rows
         apply_command = self._apply_command
         # background energy accumulates per tag here, not through the
@@ -1083,7 +1098,12 @@ class FastMCDProcessor(MCDProcessor):
                     t1 = perf_counter()  # statcheck: disable=DET002 -- profiling only
                     prof_add("latch", t1 - t0)
                 # -- observe ----------------------------------------------
-                for dtag, denum, ctrl, reg in ctrl_rows:
+                for dtag, denum, ctrl, reg, sched, mon in ctrl_rows:
+                    if sched is not None and time_ns < sched._busy_until_ns:
+                        # an Act is in progress: observe would only store
+                        # the occupancy for the next slope (DESIGN §6d)
+                        mon._prev = occs[dtag]
+                        continue
                     command = ctrl.observe(time_ns, occs[dtag], reg._current_ghz)
                     if command is not None:
                         apply_command(time_ns, denum, reg, command)
@@ -1091,24 +1111,39 @@ class FastMCDProcessor(MCDProcessor):
                     t2 = perf_counter()  # statcheck: disable=DET002 -- profiling only
                     prof_add("observe", t2 - t1)
                 # -- slew -------------------------------------------------
-                for dtag, reg in slew_rows:
+                for dtag, reg, max_move, neg_max_move, rows in slew_rows:
                     cur = reg._current_ghz
                     tgt = reg._target_ghz
                     if tgt != cur:
-                        # ref: regulator.advance(dt) -- identical arithmetic
+                        # ref: regulator.advance(dt) -- the same floats;
+                        # max/min/abs become comparisons (ties give the
+                        # same float)
                         delta = tgt - cur
-                        max_move = reg.slew_ghz_per_ns * dt
-                        move = max(-max_move, min(max_move, delta))
-                        cur += move
-                        reg.total_travel_ghz += abs(move)
-                        if abs(tgt - cur) < 1e-12:
+                        if delta > max_move:
+                            cur += max_move
+                            reg.total_travel_ghz += max_move
+                        elif delta < neg_max_move:
+                            cur += neg_max_move
+                            reg.total_travel_ghz += max_move
+                        else:
+                            cur += delta
+                            reg.total_travel_ghz += delta if delta > 0.0 else -delta
+                        if -1e-12 < tgt - cur < 1e-12:
                             cur = tgt
                         reg._current_ghz = cur
-                        v = vtab_get(cur)
-                        if v is None:
-                            v = voltage_for(cur)
-                            vtab[cur] = v
-                        reg._voltage = v
+                        # ref: voltage_for, power.background and
+                        # _refresh_energy_coefficients at the new frequency
+                        row = rows.get(cur)
+                        if row is None:
+                            row = row_for(dtag, cur)
+                        (
+                            reg._voltage,
+                            bg_awake[dtag],
+                            bg_asleep[dtag],
+                            abe[dtag],
+                            ase[dtag],
+                            ge[dtag],
+                        ) = row
                         # ref: clock.set_frequency(current)
                         if cur != freqs[dtag]:
                             freqs[dtag] = cur
@@ -1118,32 +1153,7 @@ class FastMCDProcessor(MCDProcessor):
                             pos04[dtag] = 0.4 * p
                     fsum[dtag] += cur
                     # ref: energy.add(domain, power.background(...))
-                    v = reg._voltage
-                    if v != bg_v[dtag] or cur != bg_f[dtag]:
-                        row = btab[dtag].get((v, cur))
-                        if row is None:
-                            ce, _, _, gf, lf = params_by_tag[dtag]
-                            leak = ce * v * v * lf
-                            gated_rate = ce * v * v * gf * cur
-                            row = (leak * dt, (leak + gated_rate) * dt)
-                            btab[dtag][(v, cur)] = row
-                        bg_v[dtag] = v
-                        bg_f[dtag] = cur
-                        bg_awake[dtag] = row[0]
-                        bg_asleep[dtag] = row[1]
                     bg_e[dtag] += bg_asleep[dtag] if sleeping[dtag] else bg_awake[dtag]
-                    # ref: _refresh_energy_coefficients (this domain's slice)
-                    if v != coeff_v[dtag]:
-                        coeff_v[dtag] = v
-                        row = ctab[dtag].get(v)
-                        if row is None:
-                            ce, ab, asl, gf, _ = params_by_tag[dtag]
-                            v2c = ce * v * v
-                            row = (v2c * ab, v2c * asl, v2c * gf)
-                            ctab[dtag][v] = row
-                        abe[dtag] = row[0]
-                        ase[dtag] = row[1]
-                        ge[dtag] = row[2]
                 bg_e[0] += fe_bg_e
                 if prof is not None:
                     t3 = perf_counter()  # statcheck: disable=DET002 -- profiling only

@@ -1,27 +1,35 @@
-"""Precomputed frequency/voltage/energy lookup tables for the fast core.
+"""Per-domain operating-point rows for the fast core's sample tick.
 
-The reference simulator recomputes three families of floats over and over on
-its per-sample path:
+While a domain slews, the reference core re-derives three float families
+at every 4 ns sample from the domain's new frequency ``f``:
 
-* ``MachineConfig.voltage_for(f)`` -- the linear V(f) map, re-derived every
-  time a regulator moves;
+* ``MachineConfig.voltage_for(f)`` -- the linear V(f) map;
+* the per-sample background energy ``(leakage [+ gated rate]) * dt``,
+  awake and asleep (``PowerModel.background``);
 * the per-cycle energy coefficients ``c_eff * V^2 * {base, slope, gated}``
-  -- re-derived for all four domains at every 4 ns sample even though
-  voltages only change during a slew;
-* the per-sample background energy ``(leakage [+ gated rate]) * dt`` -- two
-  multiplies and an add per domain per sample.
+  (``MCDProcessor._refresh_energy_coefficients``).
 
-Controller targets live on the quantized step grid, so the set of distinct
-``(voltage, frequency)`` operating points a run visits is small and highly
-repetitive -- and across the seeds of one sweep the runs visit the *same*
-points.  :class:`SimTables` memoizes all three families keyed by the exact
-float inputs.  Because every cached value is produced by the bit-exact same
-expression the reference core evaluates, serving it from the table cannot
-change a single bit of simulated state.
+V is a function of f, so all six floats are a function of f alone.
+:class:`SimTables` keeps one dict per domain tag that maps ``f`` to the row
+``(v, bg_awake, bg_asleep, active_base_e, active_slope_e, gated_e)``, so a
+slewing domain-tick costs one lookup.  Each field is built by the reference
+expression in the reference order, so a row served from the table is the
+bit-exact value the reference would recompute.
+
+Controller targets sit on the quantized step grid, and the runs of one sweep
+slew through the same points, so rows are reused heavily.  Each tag keeps at
+most :data:`MAX_ROWS_PER_TAG` rows: a miss on a full dict clears it first.
+A cleared row is rebuilt bit-exactly on its next miss, so a clear never
+changes a result, and a long-lived ``repro-dvfs serve`` stays bounded.
+Serve's executor threads share one interned table set.  A clear is one
+``dict.clear()`` under the GIL, in place, so a concurrent ``get`` either
+finds a row or misses and rebuilds it; a miss checks the size and then
+inserts without a lock, so each racing thread may add one row past the cap
+before the next clear.
 
 ``tables_for`` interns one :class:`SimTables` per ``(MachineConfig, power
 params)`` pair and process, so every run a sweep engine or serve flush
-executes in that process amortizes table population for free.
+executes in that process shares the rows.
 """
 
 from __future__ import annotations
@@ -40,27 +48,21 @@ TAG_ORDER: Tuple[DomainId, ...] = (
     DomainId.LS,
 )
 
+#: Rows one domain tag keeps before its dict is cleared.  One serial
+#: ``sweep_cold`` grid pass fills at most 5,706 (FP), so a sweep worker,
+#: which lives for one pass, never clears.
+MAX_ROWS_PER_TAG = 8192
+
 #: (c_eff, active_base, active_slope, gated_fraction, leakage_fraction)
 ParamRow = Tuple[float, float, float, float, float]
-#: (active_base_e, active_slope_e, gated_e) at one voltage
-CoeffRow = Tuple[float, float, float]
-#: (awake background energy, asleep background energy) over one sample period
-BackgroundRow = Tuple[float, float]
+#: (v, bg_awake, bg_asleep, active_base_e, active_slope_e, gated_e) at one f
+Row = Tuple[float, float, float, float, float, float]
 
 
 class SimTables:
-    """Shared memo tables for one ``(machine config, power model)`` pair."""
+    """Shared row tables for one ``(machine config, power model)`` pair."""
 
-    __slots__ = (
-        "config",
-        "dt_ns",
-        "params_by_tag",
-        "voltage",
-        "period",
-        "coeff",
-        "background",
-        "fe_background_e",
-    )
+    __slots__ = ("config", "dt_ns", "params_by_tag", "rows", "fe_background_e")
 
     def __init__(self, config: MachineConfig, power: PowerModel) -> None:
         self.config = config
@@ -78,19 +80,10 @@ class SimTables:
                     p.leakage_fraction,
                 )
             )
-        #: frequency -> supply voltage (exact ``config.voltage_for`` output)
-        self.voltage: Dict[float, float] = {}
-        #: frequency -> period in ns (exact ``1.0 / f``)
-        self.period: Dict[float, float] = {}
-        #: per-tag: voltage -> per-cycle energy coefficient triple
-        self.coeff: List[Dict[float, CoeffRow]] = [{}, {}, {}, {}]
-        #: per-tag: (voltage, freq) -> per-sample background energy pair
-        self.background: List[Dict[Tuple[float, float], BackgroundRow]] = [
-            {},
-            {},
-            {},
-            {},
-        ]
+        #: per tag: frequency -> Row.  The front end never slews, so its
+        #: dict stays empty.  Dicts are cleared in place, never replaced,
+        #: so a caller may hold on to one.
+        self.rows: List[Dict[float, Row]] = [{}, {}, {}, {}]
         # The front end is pinned at (v_max, f_max) and never sleeps, so its
         # per-sample background energy is one constant.  Same op order as
         # PowerModel.background: leakage_power(v) * dt.
@@ -99,55 +92,34 @@ class SimTables:
         v = config.v_max
         self.fe_background_e = ce * v * v * leak_frac * self.dt_ns
 
-    # ------------------------------------------------------------------
-
-    def voltage_for(self, freq_ghz: float) -> float:
-        """Memoized ``config.voltage_for``; bit-exact by construction."""
-        v = self.voltage.get(freq_ghz)
-        if v is None:
+    def row(self, tag: int, freq_ghz: float) -> Row:
+        """Domain ``tag``'s row at ``freq_ghz``, built and stored on a miss."""
+        rows = self.rows[tag]
+        row = rows.get(freq_ghz)
+        if row is None:
+            ce, active_base, active_slope, gated_frac, leak_frac = (
+                self.params_by_tag[tag]
+            )
+            dt = self.dt_ns
             v = self.config.voltage_for(freq_ghz)
-            self.voltage[freq_ghz] = v
-        return v
-
-    def period_ns(self, freq_ghz: float) -> float:
-        """Memoized clock period, exactly ``1.0 / freq_ghz``."""
-        p = self.period.get(freq_ghz)
-        if p is None:
-            p = 1.0 / freq_ghz
-            self.period[freq_ghz] = p
-        return p
-
-    def coeff_for(self, tag: int, voltage: float) -> CoeffRow:
-        """Per-cycle energy coefficients of domain ``tag`` at ``voltage``.
-
-        Identical expressions (and evaluation order) to
-        ``MCDProcessor._refresh_energy_coefficients``.
-        """
-        row = self.coeff[tag].get(voltage)
-        if row is None:
-            ce, active_base, active_slope, gated_frac, _ = self.params_by_tag[tag]
-            v2c = ce * voltage * voltage
-            row = (v2c * active_base, v2c * active_slope, v2c * gated_frac)
-            self.coeff[tag][voltage] = row
-        return row
-
-    def background_for(
-        self, tag: int, voltage: float, freq_ghz: float
-    ) -> BackgroundRow:
-        """Per-sample background energy (awake, asleep) of domain ``tag``.
-
-        Mirrors ``PowerModel.background`` exactly: the asleep value is
-        ``(leak + gated_rate) * dt`` as one product, *not* the float-unequal
-        ``leak * dt + gated_rate * dt``.
-        """
-        key = (voltage, freq_ghz)
-        row = self.background[tag].get(key)
-        if row is None:
-            ce, _, _, gated_frac, leak_frac = self.params_by_tag[tag]
-            leak = ce * voltage * voltage * leak_frac
-            gated_rate = ce * voltage * voltage * gated_frac * freq_ghz
-            row = (leak * self.dt_ns, (leak + gated_rate) * self.dt_ns)
-            self.background[tag][key] = row
+            # ref: PowerModel.background -- the asleep value is
+            # (leak + gated_rate) * dt as one product, *not* the float-unequal
+            # leak * dt + gated_rate * dt
+            leak = ce * v * v * leak_frac
+            gated_rate = ce * v * v * gated_frac * freq_ghz
+            # ref: MCDProcessor._refresh_energy_coefficients
+            v2c = ce * v * v
+            row = (
+                v,
+                leak * dt,
+                (leak + gated_rate) * dt,
+                v2c * active_base,
+                v2c * active_slope,
+                v2c * gated_frac,
+            )
+            if len(rows) >= MAX_ROWS_PER_TAG:
+                rows.clear()
+            rows[freq_ghz] = row
         return row
 
 
@@ -158,8 +130,8 @@ _TABLES: Dict[Tuple[MachineConfig, Tuple[ParamRow, ...]], SimTables] = {}
 def tables_for(config: MachineConfig, power: PowerModel) -> SimTables:
     """Return the interned :class:`SimTables` for this config/power pair.
 
-    ``MachineConfig`` is a frozen (hashable) dataclass, so table sharing
-    across batch replicas and within a sweep worker process is automatic.
+    ``MachineConfig`` is a frozen (hashable) dataclass, so every run in one
+    process with an equal config and power model shares one table set.
     """
     sig = tuple(
         (

@@ -23,8 +23,8 @@ from repro.simcore import CORES, resolve_core
 #: deliberate and bump CACHE_VERSION; update these digests in the same
 #: change.
 PINNED_KEYS = {
-    "ref": "bcc6fadb24edea6d8cf602800d24bd80a432b20ce1c23a18a72eee99e5bd0214",
-    "fast": "62ebb3a4dd7fa7b8bb6a6585511fba449e44f49badf57d4d4ca6f9d87eedcef1",
+    "ref": "76b1b3ed89385a2d6570714e9dacdc06807932a15e34cfbdd66c31315e7182d6",
+    "fast": "da4c55dc28516c21fb8a4dd30429b6ae515632f61e147ce3ab36803a10adcbf7",
 }
 
 
@@ -95,7 +95,7 @@ class TestCacheKey:
             seed=1,
             simcore=core,
         )
-        assert CACHE_VERSION == 4
+        assert CACHE_VERSION == 5
         assert job_cache_key(tiny) == PINNED_KEYS[core]
 
 

@@ -1,14 +1,17 @@
-"""The fast core keeps spinning clocks off its event heap.
+"""The fast core keeps spinning clocks off its event heap, and the
+adaptive controller out of its sample tick during an Act.
 
 The golden suite proves the fast core exact, but it cannot see *how* the
 fast core gets there: a change that stops parking stalled clocks (DESIGN
 §6d) stays bit-identical and only gets slower.  These tests pin the
-mechanism by counting heap pushes, which the processor keeps in ``_seq``.
+mechanisms by counting heap pushes, which the processor keeps in ``_seq``,
+and ``AdaptiveDvfsController.observe`` calls.
 """
 
 from __future__ import annotations
 
 import repro.harness.experiment as experiment_module
+from repro.core.controller import AdaptiveDvfsController
 from repro.harness.experiment import run_experiment
 from repro.simcore import create_processor
 
@@ -41,3 +44,30 @@ def test_front_end_parks_once_the_trace_is_dispatched(monkeypatch):
     # 952 of them for front-end edges after the last dispatch that retire
     # nothing; with it, 9,054
     assert _mcf_pushes(monkeypatch, "fast") < 9_500
+
+
+def _mcf_observe_calls(monkeypatch, core):
+    """Adaptive ``observe`` calls of a 1,000-instruction mcf run on ``core``."""
+    calls = []
+    real_observe = AdaptiveDvfsController.observe
+
+    def spy_observe(self, now_ns, occupancy, freq_ghz):
+        calls.append(now_ns)
+        return real_observe(self, now_ns, occupancy, freq_ghz)
+
+    monkeypatch.setattr(AdaptiveDvfsController, "observe", spy_observe)
+    run_experiment(
+        "mcf", scheme="adaptive", max_instructions=1000, seed=1, simcore=core
+    )
+    return len(calls)
+
+
+def test_reference_observes_every_sample(monkeypatch):
+    # three controlled domains, one call each per 4 ns sample
+    assert _mcf_observe_calls(monkeypatch, "ref") == 15_993
+
+
+def test_fast_core_skips_observe_during_an_act(monkeypatch):
+    # inside an Act observe only stores the occupancy, so the fast core
+    # stores it itself: 5,239 calls here, 15,993 without the skip
+    assert _mcf_observe_calls(monkeypatch, "fast") < 6_000

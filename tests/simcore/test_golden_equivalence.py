@@ -34,6 +34,16 @@ _SEEDS = (1, 2, 3)
 #: the non-reference core this suite holds to bit-identity
 _OTHER_CORE = "fast"
 
+#: adaptive-controller ablations (``adaptive_overrides``): the features
+#: ``bench_ablation_features`` switches off, and a level delay 50x the
+#: slope delay, past the ratios ``bench_ablation_delay_ratio`` sweeps
+_ABLATIONS = {
+    "no-combine": dict(combine_actions=False),
+    "no-slope": dict(use_slope_signal=False),
+    "fixed-delay": dict(signal_scaled_delay=False, freq_scaled_down_delay=False),
+    "delay-ratio": dict(t_m0=400, t_l0=8),
+}
+
 
 def _pair(benchmark, **kwargs):
     """One (ref, other-core) result pair for identical inputs."""
@@ -105,6 +115,41 @@ class TestGoldenEquivalence:
             seed=3,
         )
         assert_results_identical(ref, fast, context="gzip/adaptive transmeta zero jitter")
+
+    @pytest.mark.parametrize("ablation", sorted(_ABLATIONS))
+    @pytest.mark.parametrize("bench", ("gsm-decode", "mcf"))
+    def test_adaptive_ablation(self, bench, ablation):
+        # each ablation changes when an Act starts or how long it lasts,
+        # which decides the samples the fast core skips observe on
+        ref, fast = _pair(
+            bench,
+            scheme="adaptive",
+            adaptive_overrides=_ABLATIONS[ablation],
+            max_instructions=_ZERO_JITTER_INSTRUCTIONS,
+            seed=3,
+        )
+        assert_results_identical(
+            ref, fast, context=f"{bench}/adaptive {ablation}"
+        )
+
+    @pytest.mark.parametrize("bench", ("gsm-decode", "mcf"))
+    def test_act_ends_on_a_sample_tick(self, bench):
+        # At 128 ns/MHz one step switches in exactly 300 ns (75 samples),
+        # so an Act ends on a sample tick, where observe runs again: the
+        # boundary of the fast core's Act skip.  The default switching
+        # time never ends an Act on a tick.
+        machine = MachineConfig(slew_ns_per_mhz=128.0)
+        assert machine.step_switching_time_ns % machine.sample_period_ns == 0
+        ref, fast = _pair(
+            bench,
+            scheme="adaptive",
+            machine=machine,
+            max_instructions=_ZERO_JITTER_INSTRUCTIONS,
+            seed=3,
+        )
+        assert_results_identical(
+            ref, fast, context=f"{bench}/adaptive Act ending on a tick"
+        )
 
     def test_observed_run(self):
         ref, fast = _pair(

@@ -82,21 +82,147 @@ class TestSimTables:
         b = tables_for(machine, PowerModel())
         assert a is b, "equal configs must share one interned table set"
 
-    def test_period_table_matches_reciprocal(self):
+    # a 3 ns sample period is not a power of two, so its products round
+    # and an operation order that differs from the reference's shows
+    @pytest.mark.parametrize("dt", [4.0, 3.0], ids=["dt4", "dt3"])
+    @pytest.mark.parametrize("where", ["f_min", "f_max", "mid_slew"])
+    def test_row_is_the_reference_floats(
+        self, tiny_benchmark, mid_slew_frequency, where, dt
+    ):
+        """Every field of a row equals the reference expression, bit for bit."""
+        from repro.mcd.domains import CONTROLLED_DOMAINS
+        from repro.mcd.processor import _EDGE_TAG, MCDProcessor
         from repro.power.model import PowerModel
+        from repro.simcore.tables import SimTables
+        from repro.workloads.generator import generate_trace
+
+        machine = MachineConfig(sample_period_ns=dt)
+        power = PowerModel()
+        if where == "mid_slew":
+            freq = mid_slew_frequency
+        else:
+            freq = getattr(machine, f"{where}_ghz")
+        # the reference's own state at ``freq``: regulators pinned there,
+        # coefficients from _refresh_energy_coefficients at construction
+        ref = MCDProcessor(
+            trace=generate_trace(tiny_benchmark, seed=1),
+            config=machine,
+            power=power,
+            initial_frequencies={d: freq for d in CONTROLLED_DOMAINS},
+        )
+        tables = SimTables(machine, power)
+        for domain in CONTROLLED_DOMAINS:
+            tag = _EDGE_TAG[domain]
+            assert ref.regulators[domain].current_freq_ghz == freq
+            v = ref.regulators[domain].voltage
+            expected = (
+                machine.voltage_for(freq),
+                power.background(domain, v, freq, dt, sleeping=False),
+                power.background(domain, v, freq, dt, sleeping=True),
+                ref._active_base_e[tag],
+                ref._active_slope_e[tag],
+                ref._gated_e[tag],
+            )
+            row = tables.row(tag, freq)
+            assert [x.hex() for x in row] == [x.hex() for x in expected], domain
+            assert tables.rows[tag][freq] is row
+
+    def test_capped_rows_stay_bounded_and_exact(self, monkeypatch):
+        """A tiny cap clears rows mid-run without changing a result."""
+        import repro.simcore.tables as tables_module
+        from repro.harness.experiment import run_experiment
+        from repro.power.model import PowerModel
+        from repro.simcore import assert_results_identical
+
+        run = dict(scheme="adaptive", max_instructions=1500, seed=3, simcore="fast")
+        uncapped = run_experiment("gzip", **run)
+
+        cap = 8
+        tables = tables_for(MachineConfig(), PowerModel())
+        for rows in tables.rows:
+            rows.clear()
+        built = []
+        real_row = tables_module.SimTables.row
+
+        def spy_row(self, tag, freq_ghz):
+            built.append((tag, freq_ghz))
+            return real_row(self, tag, freq_ghz)
+
+        monkeypatch.setattr(tables_module, "MAX_ROWS_PER_TAG", cap)
+        monkeypatch.setattr(tables_module.SimTables, "row", spy_row)
+        capped = run_experiment("gzip", **run)
+
+        assert all(len(rows) <= cap for rows in tables.rows)
+        # more distinct rows than the cap were needed, so some tag cleared
+        distinct = max(len({f for t, f in built if t == tag}) for tag in (1, 2, 3))
+        assert distinct > cap
+        assert_results_identical(uncapped, capped, context="gzip/adaptive capped rows")
+
+    def test_racing_threads_get_their_own_rows(self, monkeypatch):
+        """Serve's executor threads share one table: clears racing with
+        gets and sets may cost a rebuild, never another frequency's row."""
+        import sys
+        import threading
+
+        import repro.simcore.tables as tables_module
+        from repro.power.model import PowerModel
+        from repro.simcore.tables import SimTables
 
         machine = MachineConfig()
-        tables = tables_for(machine, PowerModel())
-        for freq in (machine.f_min_ghz, 0.75, machine.f_max_ghz):
-            assert tables.period_ns(freq) == 1.0 / freq
+        span = machine.f_max_ghz - machine.f_min_ghz
+        freqs = [machine.f_min_ghz + span * i / 97 for i in range(98)]
+        expected = SimTables(machine, PowerModel())
+        want = {(tag, f): expected.row(tag, f) for tag in (1, 2, 3) for f in freqs}
 
-    def test_voltage_table_matches_config(self):
-        from repro.power.model import PowerModel
+        cap = 4
+        monkeypatch.setattr(tables_module, "MAX_ROWS_PER_TAG", cap)
+        shared = SimTables(machine, PowerModel())
+        wrong = []
 
-        machine = MachineConfig()
-        tables = tables_for(machine, PowerModel())
-        for freq in (machine.f_min_ghz, 0.8, machine.f_max_ghz):
-            assert tables.voltage_for(freq) == machine.voltage_for(freq)
+        def worker(offset):
+            for i in range(600):
+                tag = 1 + (i + offset) % 3
+                f = freqs[(i * 7 + offset) % len(freqs)]
+                if shared.row(tag, f) != want[(tag, f)]:
+                    wrong.append((tag, f))
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        # a miss checks the size and then inserts, so racing threads may
+        # each add one row past the cap before the next clear
+        assert all(len(rows) <= cap + len(threads) for rows in shared.rows)
+
+
+@pytest.fixture(scope="module")
+def mid_slew_frequency():
+    """A frequency an adaptive run passed through between two grid steps."""
+    from repro.harness.experiment import run_experiment
+
+    machine = MachineConfig()
+    result = run_experiment(
+        "gzip",
+        scheme="adaptive",
+        max_instructions=1500,
+        seed=3,
+        history_stride=1,
+        simcore="ref",
+    )
+    for series in result.history.frequency_ghz.values():
+        for freq in series:
+            steps = (machine.f_max_ghz - freq) / machine.step_ghz
+            if abs(steps - round(steps)) > 1e-3:
+                return freq
+    raise AssertionError("the run never slewed")
 
 
 class TestCacheKeying:
