@@ -184,4 +184,8 @@ def run_experiment(
         obs=obs,
         simcore=simcore,
     )
-    return processor.run()
+    try:
+        return processor.run()
+    finally:
+        # free the processor by refcount, even when the run raises
+        processor.release()

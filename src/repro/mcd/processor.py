@@ -291,6 +291,19 @@ class MCDProcessor:
         self._pause_until = [0.0, 0.0, 0.0, 0.0]
         self._refresh_energy_coefficients()
 
+    def release(self) -> None:
+        """Unwire the front-end, issue-queue and ROB callbacks.
+
+        Each is a bound method, so each makes the processor cyclic
+        garbage; once they are gone a finished run is freed by refcount
+        rather than at the cyclic collector's next pass.  Call it once the
+        processor is done running.
+        """
+        self.frontend.on_dispatch = None
+        for queue in self.queues.values():
+            queue.on_slot_freed = None
+        self.rob.on_head_done = None
+
     def _refresh_energy_coefficients(self) -> None:
         """Recompute cached per-cycle energies from current voltages."""
         for domain, tag in _EDGE_TAG.items():

@@ -4,7 +4,9 @@
 asyncio application:
 
 * ``POST /v1/runs`` -- submit one simulation; concurrent submissions are
-  coalesced into one :meth:`repro.engine.SweepEngine.run` call per flush;
+  coalesced into one :meth:`repro.engine.SweepEngine.run` call per flush,
+  and an untraced repeat of a run whose result the in-memory window holds
+  is settled at submission;
 * ``POST /v1/sweeps`` -- submit a benchmark x scheme x seed cross
   product through a :class:`repro.engine.SweepEngine` (pool workers,
   content-addressed cache, telemetry);
@@ -65,7 +67,8 @@ from repro.serve.router import Router
 from repro.serve.sse import format_sse
 from repro.workloads.suite import BENCHMARKS, get_benchmark
 
-#: how many recent results stay addressable by hash without a cache dir.
+#: how many recent results stay addressable by hash without a cache dir;
+#: an untraced repeat of one of them is settled at submission.
 RESULT_WINDOW = 256
 
 #: methods worth distinguishing in metrics; anything else (clients can
@@ -141,6 +144,12 @@ class ServeApp:
             "repro_serve_uptime_seconds",
             "Seconds since server construction (sampled at scrape).",
         )
+        # the engines' own family: a run settled from the window is the
+        # cache hit an engine would have counted
+        self._m_window_hits = self.metrics.counter_family(
+            "repro_engine_jobs_total",
+            "Sweep jobs by terminal outcome", ("outcome",),
+        ).labels(outcome="cache_hit")
         self.executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.config.executor_threads,
             thread_name_prefix="repro-serve",
@@ -341,10 +350,14 @@ class ServeApp:
         if not isinstance(spec, dict):
             raise BadRequest("request body must be a JSON object")
         job = _parse_sweep_job(spec, default_simcore=self.config.simcore)
+        traced = bool(spec.get("trace"))
+        if traced and job.obs is None:
+            # key a traced run on the observability it runs with: its
+            # result carries a probe summary an untraced run never has
+            job = dataclasses.replace(job, obs=ObsConfig())
         sha = job_cache_key(job)
         record = self.store.create("run", _public_spec(job))
         record.result_shas.append(sha)
-        traced = bool(spec.get("trace"))
         root = self.tracer.start(
             f"run:{record.id}",
             attrs={
@@ -359,7 +372,21 @@ class ServeApp:
         # pooled engines) the process boundary, so worker spans stitch
         # back to this submission.
         job = dataclasses.replace(job, span=root.context)
-        if traced:
+        # an untraced repeat of a run whose result the window holds is
+        # settled here, before the reply: the window holds what the engine
+        # would read back from the cache under the same key
+        held = None if traced else self._results.get(sha)
+        if held is not None:
+            self.tracer.start(
+                f"job:{job.job_id}",
+                parent=root,
+                attrs={"cache": "hit", "seed": job.seed},
+            ).end()
+            self._m_window_hits.inc()
+            self._finish_run(record, job, held)
+            root.set_attr("state", record.state)
+            root.end()
+        elif traced:
             self._spawn(self._execute_traced_run(record, job, root))
         else:
             self._spawn(self._execute_run(record, job, root))
@@ -368,7 +395,7 @@ class ServeApp:
                 "id": record.id,
                 "state": record.state,
                 "result_sha": sha,
-                "coalesced": not traced,
+                "coalesced": not traced and held is None,
                 # the *resolved* core (explicit arg > server default > env >
                 # default), so clients can attribute the cached artifact
                 "simcore": resolve_core(job.simcore),
@@ -412,7 +439,7 @@ class ServeApp:
                 record, stream, payload
             )
         )
-        observability = Observability(job.obs or ObsConfig())
+        observability = Observability(job.obs)
         observability.bus.add_sink(bridge.probe_sink())
         child = self.tracer.start("run_experiment", parent=root,
                                   attrs={"traced": True})

@@ -29,7 +29,11 @@ before the next clear.
 
 ``tables_for`` interns one :class:`SimTables` per ``(MachineConfig, power
 params)`` pair and process, so every run a sweep engine or serve flush
-executes in that process shares the rows.
+executes in that process shares the rows.  Serve builds a machine config
+from any request's ``machine`` overrides, so the interning keeps at most
+:data:`MAX_TABLE_SETS` sets: a new pair past the cap clears the dict first.
+A dropped set is rebuilt bit-exactly, and a run that still holds one keeps
+using it.
 """
 
 from __future__ import annotations
@@ -123,6 +127,10 @@ class SimTables:
         return row
 
 
+#: Table sets :data:`_TABLES` keeps before it is cleared.  One sweep uses
+#: one machine config, so a sweep never clears it.
+MAX_TABLE_SETS = 8
+
 #: process-wide table interning: (config, params signature) -> SimTables
 _TABLES: Dict[Tuple[MachineConfig, Tuple[ParamRow, ...]], SimTables] = {}
 
@@ -146,6 +154,8 @@ def tables_for(config: MachineConfig, power: PowerModel) -> SimTables:
     key = (config, sig)
     tables = _TABLES.get(key)
     if tables is None:
+        if len(_TABLES) >= MAX_TABLE_SETS:
+            _TABLES.clear()
         tables = SimTables(config, power)
         _TABLES[key] = tables
     return tables

@@ -95,6 +95,42 @@ class TestRunExperiment:
         assert sum(result.transitions.values()) == 0
 
 
+class TestProcessorRelease:
+    """A finished run's processor is freed by refcount, not left as
+    cyclic garbage for the collector (serve's peak RSS depended on it)."""
+
+    @pytest.mark.parametrize("obs", [None, True], ids=["plain", "obs"])
+    @pytest.mark.parametrize("core", ["ref", "fast"])
+    def test_processor_is_freed_when_the_run_returns(
+        self, monkeypatch, core, obs
+    ):
+        import gc
+        import weakref
+
+        import repro.harness.experiment as experiment_module
+
+        refs = []
+        real_create = experiment_module.create_processor
+
+        def spy_create(*args, **kwargs):
+            processor = real_create(*args, **kwargs)
+            refs.append(weakref.ref(processor))
+            return processor
+
+        monkeypatch.setattr(experiment_module, "create_processor", spy_create)
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_experiment(
+                "gzip", scheme="adaptive", max_instructions=300, seed=1,
+                simcore=core, obs=obs,
+            )
+            assert refs[0]() is None
+        finally:
+            gc.enable()
+        assert result.instructions > 0
+
+
 class TestSeedForwarding:
     """Regression: an explicit seed must reach *both* the trace generator
     and the processor's jitter RNG (it used to stop at the generator)."""

@@ -313,19 +313,125 @@ class TestObservability:
     def test_repeated_run_counts_as_an_engine_cache_hit(self, client):
         """Cache hits are counted where the engines count them, on
         /metrics; /v1/stats keeps no cache counters of its own."""
-
-        def cache_hits():
-            snap = build_snapshot(parse_prometheus(client.metrics_text()))
-            return sum(
-                value
-                for labels, value in snap["repro_engine_jobs_total"].items()
-                if dict(labels)["outcome"] == "cache_hit"
-            )
-
         first = client.submit_run(run_spec(seed=71))
         assert client.wait_for_job(first["id"])["state"] == "done"
-        before = cache_hits()
+        before = cache_hits(client)
         repeat = client.submit_run(run_spec(seed=71))
         assert client.wait_for_job(repeat["id"])["state"] == "done"
-        assert cache_hits() >= before + 1
+        assert cache_hits(client) >= before + 1
         assert "cache" not in client.stats()
+
+
+def cache_hits(client):
+    """The engines' ``cache_hit`` count, read from /metrics."""
+    snap = build_snapshot(parse_prometheus(client.metrics_text()))
+    return sum(
+        value
+        for labels, value in snap["repro_engine_jobs_total"].items()
+        if dict(labels)["outcome"] == "cache_hit"
+    )
+
+
+def submitted(client):
+    return client.stats()["coalescer"]["submitted"]
+
+
+class TestStoredResults:
+    """An untraced repeat of a run whose result the window holds is
+    settled at submission; everything else rides the coalescer."""
+
+    def test_repeat_is_settled_at_submission(self, client):
+        first = client.submit_run(run_spec(seed=81))
+        assert client.wait_for_job(first["id"])["state"] == "done"
+        hits, queued = cache_hits(client), submitted(client)
+
+        repeat = client.submit_run(run_spec(seed=81))
+        assert repeat["state"] == "done"
+        assert repeat["coalesced"] is False
+        assert repeat["result_sha"] == first["result_sha"]
+        assert client.get_job(repeat["id"])["state"] == "done"
+        assert submitted(client) == queued
+        assert cache_hits(client) == hits + 1
+
+        spans = client.get_spans(repeat["id"])["spans"]
+        root = next(s for s in spans if s["name"] == "run:" + repeat["id"])
+        job = next(s for s in spans if s["name"].startswith("job:"))
+        assert job["attrs"]["cache"] == "hit"
+        assert job["parent_id"] == root["span_id"]
+        assert root["attrs"]["state"] == "done"
+
+        names = [f.get("event") for f in client.stream_events(repeat["id"])]
+        assert "result" in names and "freq_step" in names
+        assert names[-1] == "end"
+        assert client.get_result(repeat["result_sha"])["sha"] == first["result_sha"]
+
+    def test_traced_repeat_streams_live_probe_events(self, client):
+        spec = run_spec(seed=82, trace=True, obs={"sample_stride": 8})
+        first = client.submit_run(spec)
+        assert client.wait_for_job(first["id"])["state"] == "done"
+
+        repeat = client.submit_run(spec)
+        assert repeat["result_sha"] == first["result_sha"]
+        assert repeat["state"] == "queued"
+        assert repeat["coalesced"] is False
+        kinds = {
+            frame["data"].get("kind")
+            for frame in client.stream_events(repeat["id"])
+            if frame.get("event") == "probe"
+        }
+        assert "sample" in kinds
+
+    def test_traced_run_is_keyed_on_its_observability(self, client):
+        traced = client.submit_run(run_spec(seed=83, trace=True))
+        assert client.wait_for_job(traced["id"])["state"] == "done"
+        plain = client.submit_run(run_spec(seed=83))
+        assert client.wait_for_job(plain["id"])["state"] == "done"
+
+        assert traced["result_sha"] != plain["result_sha"]
+        job = SweepJob.make(
+            BENCH, scheme="adaptive", seed=83, max_instructions=INSTRUCTIONS
+        )
+        assert plain["result_sha"] == job_cache_key(job)
+        assert "probe_summary" in client.get_result(traced["result_sha"])
+        assert "probe_summary" not in client.get_result(plain["result_sha"])
+
+    def test_repeat_past_the_window_is_served_from_disk(
+        self, client, monkeypatch
+    ):
+        import repro.serve.app as app_module
+
+        monkeypatch.setattr(app_module, "RESULT_WINDOW", 1)
+        first = client.submit_run(run_spec(seed=84))
+        assert client.wait_for_job(first["id"])["state"] == "done"
+        other = client.submit_run(run_spec(seed=85))
+        assert client.wait_for_job(other["id"])["state"] == "done"
+        hits, queued = cache_hits(client), submitted(client)
+
+        repeat = client.submit_run(run_spec(seed=84))
+        assert repeat["state"] == "queued"
+        assert repeat["coalesced"] is True
+        assert client.wait_for_job(repeat["id"])["state"] == "done"
+        assert submitted(client) == queued + 1
+        assert cache_hits(client) == hits + 1
+        spans = client.get_spans(repeat["id"])["spans"]
+        job = next(s for s in spans if s["name"].startswith("job:"))
+        assert job["attrs"]["cache"] == "hit"
+        assert client.get_result(repeat["result_sha"])["sha"] == first["result_sha"]
+
+
+def test_server_without_cache_dir_answers_a_repeat_from_memory():
+    """Without a cache dir a repeat used to simulate again; now a repeat
+    inside the window is answered from memory."""
+    config = ServeConfig(port=0, max_batch=4, max_delay_s=0.02)
+    with BackgroundServer(config) as background:
+        with ServeClient(*background.address) as client:
+            first = client.submit_run(run_spec(seed=86))
+            assert client.wait_for_job(first["id"])["state"] == "done"
+            expected = client.get_result(first["result_sha"])
+            queued = submitted(client)
+
+            repeat = client.submit_run(run_spec(seed=86))
+            assert repeat["state"] == "done"
+            assert repeat["coalesced"] is False
+            assert submitted(client) == queued
+            assert client.get_result(repeat["result_sha"]) == expected

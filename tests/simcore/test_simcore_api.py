@@ -82,6 +82,29 @@ class TestSimTables:
         b = tables_for(machine, PowerModel())
         assert a is b, "equal configs must share one interned table set"
 
+    def test_interning_is_capped_and_exact(self, monkeypatch):
+        """Serve builds a machine config per request's overrides: past the
+        cap the interned sets are dropped, and rebuilt ones are exact."""
+        import repro.simcore.tables as tables_module
+        from repro.harness.experiment import run_experiment
+        from repro.simcore import assert_results_identical
+
+        run = dict(scheme="adaptive", max_instructions=600, seed=3, simcore="fast")
+        machines = [MachineConfig(rob_size=size) for size in (64, 65, 66)]
+        monkeypatch.setattr(tables_module, "_TABLES", {})
+        uncapped = [run_experiment("gzip", machine=m, **run) for m in machines]
+        assert len(tables_module._TABLES) == 3
+
+        monkeypatch.setattr(tables_module, "_TABLES", {})
+        monkeypatch.setattr(tables_module, "MAX_TABLE_SETS", 2)
+        for machine, expected in zip(machines, uncapped):
+            capped = run_experiment("gzip", machine=machine, **run)
+            assert len(tables_module._TABLES) <= 2
+            assert_results_identical(
+                expected, capped, context=f"rob_size={machine.rob_size} capped"
+            )
+        assert machines[-1] in {config for config, _ in tables_module._TABLES}
+
     # a 3 ns sample period is not a power of two, so its products round
     # and an operation order that differs from the reference's shows
     @pytest.mark.parametrize("dt", [4.0, 3.0], ids=["dt4", "dt3"])
