@@ -5,13 +5,14 @@ Execution model
 * Each :class:`~repro.engine.jobs.SweepJob` is first checked against the
   optional content-addressed :class:`~repro.engine.cache.ResultCache`;
   hits never reach a worker.
-* Remaining jobs run on a :class:`concurrent.futures.ProcessPoolExecutor`
-  (``workers > 1``) or in-process (``workers == 1``), jobs that share a
-  trace (benchmark, ``max_instructions``, seed) back to back, so a
-  process reuses the trace its previous job generated.  If the pool
-  cannot be created or breaks mid-sweep, the engine falls back to
-  in-process serial execution for whatever is left -- a sweep degrades,
-  it does not abort.
+* Remaining jobs run in one loop, jobs that share a trace (benchmark,
+  ``max_instructions``, seed) back to back, so a process reuses the
+  trace its previous job generated.  The loop hands an attempt to a
+  :class:`concurrent.futures.ProcessPoolExecutor` (``workers > 1``)
+  only while fewer than ``workers + 1`` are in flight on it, or runs one
+  attempt at a time in-process (``workers == 1``).  If the pool cannot
+  be created or breaks mid-sweep, the loop requeues what the pool lost
+  and carries on in-process -- a sweep degrades, it does not abort.
 * A per-job wall-clock timeout is enforced *inside* the executing
   process via ``SIGALRM`` (tasks run on the worker's main thread), so a
   runaway job raises :class:`JobTimeoutError` instead of wedging a pool
@@ -19,12 +20,17 @@ Execution model
 * A job that raises (or times out) is retried up to ``retries`` times;
   on exhaustion it is surfaced as a failed :class:`JobOutcome` in the
   telemetry stream and the result list, and the sweep continues.
-* A sweep can be **drained**: :meth:`SweepEngine.request_shutdown`
+* A sweep can be **drained**: after :meth:`SweepEngine.request_shutdown`
   (typically installed on SIGINT/SIGTERM via :func:`shutdown_on_signals`)
-  lets in-flight jobs finish, cancels everything still queued (surfaced
-  as ``job_cancelled`` telemetry), and still emits ``sweep_finished`` --
-  so an interrupted sweep flushes its telemetry and cache writes instead
-  of orphaning pool workers.
+  the loop hands out nothing more.  The attempts already handed out
+  finish -- of those, at most one per pool was still waiting for a
+  worker -- every job never handed out is surfaced as ``job_cancelled``
+  telemetry, and ``sweep_finished`` is still emitted, so an interrupted
+  sweep flushes its telemetry and cache writes instead of orphaning pool
+  workers.
+* ``job_started`` fires when an attempt is handed out, and a job's
+  ``wall_s`` is its attempt's own run time, measured in the process
+  that runs it, so it never counts time spent waiting for a worker.
 
 Outcomes are returned in input-job order regardless of execution and
 completion order, so pool and serial execution are interchangeable
@@ -33,6 +39,7 @@ downstream.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import contextlib
 import signal
@@ -69,12 +76,6 @@ except ImportError:  # pragma: no cover
 #: the terminal job outcomes the ``repro_engine_jobs_total`` metric
 #: distinguishes; anything else collapses to "other".
 _OUTCOMES = frozenset({"finished", "failed", "cancelled"})
-
-#: seconds the pooled loop waits for a completion before it checks for a
-#: drain again: a drain must cancel queued jobs while they are still
-#: queued, not at the next completion, by which time the pool has moved
-#: more of them into its call queue, where they can no longer be cancelled
-_DRAIN_POLL_S = 0.05
 
 
 class JobTimeoutError(Exception):
@@ -145,13 +146,22 @@ def _call_with_timeout(
         signal.signal(signal.SIGALRM, previous)
 
 
+#: what an attempt ships home: the result, its optional worker span, and
+#: its run time in seconds.
+_Attempt = Tuple[SimulationResult, Optional[Dict[str, Any]], float]
+
+
 def _pool_entry(
     runner: Callable[[SweepJob], SimulationResult],
     job: SweepJob,
     timeout_s: Optional[float],
     span_parent: Optional[Dict[str, str]] = None,
-) -> Tuple[SimulationResult, Optional[Dict[str, Any]]]:
-    """Worker-process entry point (module-level, hence picklable).
+) -> _Attempt:
+    """One attempt, in a worker process or in-process (module-level,
+    hence picklable).
+
+    The run time is measured here, where the attempt runs, so that it
+    never counts time the attempt spent waiting for a worker.
 
     With a ``span_parent`` context (a plain picklable dict), the run is
     wrapped in a worker span that carries the submitting trace ID across
@@ -159,18 +169,20 @@ def _pool_entry(
     return value for the engine to record.  Without one, the call is
     exactly the pre-tracing path.
     """
-    if span_parent is None:
-        return _call_with_timeout(runner, job, timeout_s), None
-    span = start_worker_span(
-        f"job:{job.job_id}", span_parent, attrs={"seed": job.seed}
+    span = (
+        None
+        if span_parent is None
+        else start_worker_span(
+            f"job:{job.job_id}", span_parent, attrs={"seed": job.seed}
+        )
     )
+    started = time.monotonic()
     result = _call_with_timeout(runner, job, timeout_s)
+    wall_s = time.monotonic() - started
+    if span is None:
+        return result, None, wall_s
     span.set_attr("instructions", result.instructions)
-    return result, span.end()
-
-
-#: what a pooled job ships home: the result plus its optional worker span.
-_PoolResult = Tuple[SimulationResult, Optional[Dict[str, Any]]]
+    return result, span.end(), wall_s
 
 
 def _by_trace(jobs: Sequence[SweepJob], indices: List[int]) -> List[int]:
@@ -244,7 +256,9 @@ class SweepEngine:
                 "Submitted jobs not yet finished (queue depth)",
             )
             self._m_inflight = metrics.gauge(
-                "repro_engine_inflight_jobs", "Job attempts currently executing"
+                "repro_engine_inflight_jobs",
+                "Job attempts handed out and not yet finished "
+                "(at most workers + 1; at most one per pool waits for a worker)",
             )
             self._m_cache_ratio = metrics.gauge(
                 "repro_engine_cache_hit_ratio",
@@ -258,7 +272,9 @@ class SweepEngine:
     # -- public API ----------------------------------------------------
 
     def request_shutdown(self) -> None:
-        """Drain the sweep: finish in-flight jobs, cancel queued ones.
+        """Drain the sweep: hand out no more attempts, let those already
+        handed out finish (of them, at most one per pool was still
+        waiting for a worker), and cancel every job never handed out.
 
         Safe to call from any thread (including a signal handler); the
         first call emits a ``shutdown_requested`` telemetry event.
@@ -331,10 +347,7 @@ class SweepEngine:
             self._m_pending.inc(len(pending))
 
         if pending:
-            if self.config.workers > 1 and len(pending) > 1:
-                self._run_pooled(jobs, pending, outcomes, keys)
-            else:
-                self._run_serial(jobs, pending, outcomes, keys)
+            self._execute(jobs, pending, outcomes, keys)
 
         self.telemetry.emit(tm.SWEEP_FINISHED, **self.telemetry.summary())
         if self._sweep_span is not None:
@@ -434,185 +447,143 @@ class SweepEngine:
         self.telemetry.emit(tm.JOB_CANCELLED, job.job_id, reason="shutdown")
         self._job_done("cancelled")
 
-    def _run_serial(
-        self,
-        jobs: Sequence[SweepJob],
-        indices: Sequence[int],
-        outcomes: List[Optional[JobOutcome]],
-        keys: Sequence[Optional[str]],
-    ) -> None:
-        for index in indices:
-            job = jobs[index]
-            if self._shutdown.is_set():
-                self._record_cancelled(index, job, 0, outcomes)
-                continue
-            attempts = 0
-            while True:
-                attempts += 1
-                self.telemetry.emit(
-                    tm.JOB_STARTED, job.job_id, attempt=attempts, mode="serial"
-                )
-                if self._m_inflight is not None:
-                    self._m_inflight.inc()
-                started = time.monotonic()
-                try:
-                    result, span = _pool_entry(
-                        self.runner, job, self.config.timeout_s,
-                        self._span_parent_dict(job),
-                    )
-                except Exception as exc:  # noqa: BLE001 -- isolate job faults
-                    if self._m_inflight is not None:
-                        self._m_inflight.dec()
-                    error = f"{type(exc).__name__}: {exc}"
-                    if attempts <= self.config.retries and not self._shutdown.is_set():
-                        self.telemetry.emit(
-                            tm.JOB_RETRIED, job.job_id,
-                            error=error, attempt=attempts,
-                        )
-                        if self._m_retries is not None:
-                            self._m_retries.inc()
-                        continue
-                    self._record_failure(index, job, error, attempts, outcomes)
-                    break
-                if self._m_inflight is not None:
-                    self._m_inflight.dec()
-                self._record_worker_span(span)
-                self._record_success(
-                    index, job, result, attempts,
-                    time.monotonic() - started, outcomes, keys[index],
-                )
-                break
-
-    def _cancel_queued(
-        self,
-        jobs: Sequence[SweepJob],
-        futures: "Dict[concurrent.futures.Future[_PoolResult], int]",
-        attempts: Dict[int, int],
-        outcomes: List[Optional[JobOutcome]],
-    ) -> None:
-        """Drain helper: cancel every not-yet-running pooled future.
-
-        Jobs already executing on a worker keep running to completion;
-        everything still queued is cancelled and surfaced as
-        ``job_cancelled`` telemetry.
-        """
-        for future in list(futures):
-            if future.cancel():
-                index = futures.pop(future)
-                if self._m_inflight is not None:
-                    self._m_inflight.dec()
-                self._record_cancelled(
-                    index, jobs[index], attempts[index], outcomes
-                )
-
-    def _run_pooled(
-        self,
-        jobs: Sequence[SweepJob],
-        indices: Sequence[int],
-        outcomes: List[Optional[JobOutcome]],
-        keys: Sequence[Optional[str]],
-    ) -> None:
-        workers = min(self.config.workers, len(indices))
+    def _open_pool(
+        self, workers: int
+    ) -> Optional[concurrent.futures.ProcessPoolExecutor]:
+        """A pool of ``workers`` processes, or None to run in-process."""
+        if workers < 2:
+            return None
         try:
-            executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers
-            )
+            return concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         except (OSError, ImportError, NotImplementedError, ValueError) as exc:
             self.telemetry.emit(
                 tm.POOL_UNAVAILABLE,
                 error=f"{type(exc).__name__}: {exc}",
                 fallback="serial",
             )
-            self._run_serial(jobs, indices, outcomes, keys)
-            return
+            return None
 
-        attempts: Dict[int, int] = {index: 0 for index in indices}
-        started_at: Dict[int, float] = {}
-        futures: Dict[concurrent.futures.Future[_PoolResult], int] = {}
-
-        def submit(index: int) -> None:
-            attempts[index] += 1
-            self.telemetry.emit(
-                tm.JOB_STARTED, jobs[index].job_id,
-                attempt=attempts[index], mode="pool",
-            )
-            if self._m_inflight is not None:
-                self._m_inflight.inc()
-            started_at[index] = time.monotonic()
-            future = executor.submit(
-                _pool_entry, self.runner, jobs[index], self.config.timeout_s,
-                self._span_parent_dict(jobs[index]),
-            )
-            futures[future] = index
-
+    def _hand_out(
+        self,
+        pool: Optional[concurrent.futures.ProcessPoolExecutor],
+        job: SweepJob,
+    ) -> concurrent.futures.Future[_Attempt]:
+        """Start one attempt on ``pool``, or run it here to an already
+        completed future, so both modes share one completion path."""
+        args = (
+            self.runner, job, self.config.timeout_s,
+            self._span_parent_dict(job),
+        )
+        future: concurrent.futures.Future[_Attempt] = concurrent.futures.Future()
         try:
-            with executor:
-                for index in indices:
-                    if self._shutdown.is_set():
-                        self._record_cancelled(index, jobs[index], 0, outcomes)
-                        continue
-                    submit(index)
-                while futures:
-                    done, _ = concurrent.futures.wait(
-                        futures,
-                        timeout=_DRAIN_POLL_S,
-                        return_when=concurrent.futures.FIRST_COMPLETED,
+            if pool is not None:
+                return pool.submit(_pool_entry, *args)
+            future.set_result(_pool_entry(*args))
+        except Exception as exc:  # noqa: BLE001 -- isolate job faults
+            future.set_exception(exc)
+        return future
+
+    def _execute(
+        self,
+        jobs: Sequence[SweepJob],
+        indices: Sequence[int],
+        outcomes: List[Optional[JobOutcome]],
+        keys: Sequence[Optional[str]],
+    ) -> None:
+        """Run each job in ``indices`` to one outcome, handing them out in
+        that order (a retry goes to the front).
+
+        The loop hands an attempt to the pool only while fewer than
+        ``workers + 1`` are in flight on it: the one beyond ``workers``
+        waits in the pool's queue, so a worker that finishes a job starts
+        the next without waiting for this loop, and every other job stays
+        here, where a drain reaches it before it starts.
+        """
+        queue = collections.deque(indices)
+        attempts = dict.fromkeys(indices, 0)
+        inflight: Dict[concurrent.futures.Future[_Attempt], int] = {}
+        workers = min(self.config.workers, len(indices))
+        pool = self._open_pool(workers)
+        try:
+            while True:
+                if self._shutdown.is_set():
+                    while queue:
+                        index = queue.popleft()
+                        self._record_cancelled(
+                            index, jobs[index], attempts[index], outcomes
+                        )
+                limit = 1 if pool is None else workers + 1
+                while queue and len(inflight) < limit:
+                    index = queue.popleft()
+                    attempts[index] += 1
+                    if self._m_inflight is not None:
+                        self._m_inflight.inc()
+                    self.telemetry.emit(
+                        tm.JOB_STARTED, jobs[index].job_id,
+                        attempt=attempts[index],
+                        mode="serial" if pool is None else "pool",
                     )
-                    for future in done:
-                        index = futures.pop(future)
-                        job = jobs[index]
-                        wall_s = time.monotonic() - started_at[index]
-                        if self._m_inflight is not None:
-                            self._m_inflight.dec()
-                        try:
-                            result, span = future.result()
-                        except BrokenProcessPool:
-                            raise
-                        except concurrent.futures.CancelledError:
-                            if outcomes[index] is None:
-                                self._record_cancelled(
-                                    index, job, attempts[index], outcomes
-                                )
-                            continue
-                        except Exception as exc:  # noqa: BLE001
-                            error = f"{type(exc).__name__}: {exc}"
-                            if (
-                                attempts[index] <= self.config.retries
-                                and not self._shutdown.is_set()
-                            ):
-                                self.telemetry.emit(
-                                    tm.JOB_RETRIED, job.job_id,
-                                    error=error, attempt=attempts[index],
-                                )
-                                if self._m_retries is not None:
-                                    self._m_retries.inc()
-                                submit(index)
-                            else:
-                                self._record_failure(
-                                    index, job, error,
-                                    attempts[index], outcomes,
-                                )
-                            continue
+                    inflight[self._hand_out(pool, jobs[index])] = index
+                if not inflight:
+                    return
+                done, _ = concurrent.futures.wait(
+                    inflight, return_when=concurrent.futures.FIRST_COMPLETED
+                )
+                for future in done:
+                    index = inflight.pop(future)
+                    job = jobs[index]
+                    if self._m_inflight is not None:
+                        self._m_inflight.dec()
+                    try:
+                        result, span, wall_s = future.result()
+                    except Exception as exc:  # noqa: BLE001 -- isolate job faults
+                        error = f"{type(exc).__name__}: {exc}"
+                        if pool is not None and isinstance(exc, BrokenProcessPool):
+                            # a worker died hard (OOM-kill, segfault):
+                            # requeue every attempt the pool held and
+                            # finish in-process rather than losing the sweep
+                            lost = [index, *inflight.values()]
+                            if self._m_inflight is not None:
+                                self._m_inflight.dec(len(inflight))
+                            inflight.clear()
+                            for i in lost:
+                                attempts[i] -= 1
+                            queue.extendleft(reversed(lost))
+                            self.telemetry.emit(
+                                tm.POOL_UNAVAILABLE,
+                                error=error,
+                                fallback="serial",
+                                remaining_jobs=sum(
+                                    1 for i in indices if outcomes[i] is None
+                                ),
+                            )
+                            pool.shutdown()
+                            pool = None
+                            break  # the rest of `done` was requeued too
+                        if (
+                            attempts[index] <= self.config.retries
+                            and not self._shutdown.is_set()
+                        ):
+                            self.telemetry.emit(
+                                tm.JOB_RETRIED, job.job_id,
+                                error=error, attempt=attempts[index],
+                            )
+                            if self._m_retries is not None:
+                                self._m_retries.inc()
+                            queue.appendleft(index)
+                        else:
+                            self._record_failure(
+                                index, job, error, attempts[index], outcomes
+                            )
+                    else:
                         self._record_worker_span(span)
                         self._record_success(
-                            index, job, result,
-                            attempts[index], wall_s, outcomes, keys[index],
+                            index, job, result, attempts[index], wall_s,
+                            outcomes, keys[index],
                         )
-                    if self._shutdown.is_set():
-                        self._cancel_queued(jobs, futures, attempts, outcomes)
-        except BrokenProcessPool as exc:
-            # a worker died hard (OOM-kill, segfault); finish what's left
-            # in-process rather than losing the sweep
-            if self._m_inflight is not None:
-                self._m_inflight.dec(len(futures))
-            remaining = [i for i in indices if outcomes[i] is None]
-            self.telemetry.emit(
-                tm.POOL_UNAVAILABLE,
-                error=f"{type(exc).__name__}: {exc}",
-                fallback="serial",
-                remaining_jobs=len(remaining),
-            )
-            self._run_serial(jobs, remaining, outcomes, keys)
+        finally:
+            if pool is not None:
+                pool.shutdown()
 
 
 @contextlib.contextmanager
@@ -622,9 +593,11 @@ def shutdown_on_signals(
 ) -> Iterator[SweepEngine]:
     """Install handlers that drain ``engine`` on the given signals.
 
-    The first signal requests a graceful drain (in-flight jobs finish,
-    queued jobs are cancelled, telemetry and cache writes are flushed);
-    a second delivery falls through to the previously installed handler,
+    The first signal requests a graceful drain: no attempt is handed
+    out after it, those already handed out finish (of them, at most one
+    per pool was still waiting for a worker), every job never handed
+    out is cancelled, and telemetry and cache writes are flushed.  A
+    second delivery falls through to the previously installed handler,
     so a double Ctrl-C still kills a wedged sweep.  Previous handlers
     are restored on exit.  Off the main thread, where Python forbids
     installing signal handlers, this degrades to a no-op.

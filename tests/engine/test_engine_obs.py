@@ -9,6 +9,7 @@ process's recorder.
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -43,6 +44,15 @@ def _fake_result(job):
 def _fail_on_pid(job):
     if job.scheme == "pid":
         raise RuntimeError(f"boom on {job.job_id}")
+    return _fake_result(job)
+
+
+#: seconds each job of the pooled sweep below sleeps in its worker
+_NAP_S = 0.2
+
+
+def _napping_result(job):
+    time.sleep(_NAP_S)
     return _fake_result(job)
 
 
@@ -121,6 +131,42 @@ class TestEngineMetrics:
         assert engine._m_jobs is None
         assert engine._m_inflight is None
         engine.run(_jobs(("adaptive",)))  # and running works without them
+
+
+@pytest.fixture(scope="class")
+def pooled_sweep():
+    """Eight napping jobs on two workers, with the in-flight gauge read
+    at every telemetry event; returns (engine, outcomes, gauge readings)."""
+    metrics = MetricsRegistry()
+    engine = SweepEngine(
+        EngineConfig(workers=2, retries=0),
+        runner=_napping_result,
+        metrics=metrics,
+    )
+    inflight = metrics.gauge("repro_engine_inflight_jobs")
+    readings = []
+    engine.telemetry.add_listener(lambda event: readings.append(inflight.value))
+    jobs = [
+        SweepJob.make("adpcm-encode", scheme="adaptive", seed=seed)
+        for seed in range(1, 9)
+    ]
+    outcomes = engine.run(jobs)
+    assert all(o.ok for o in outcomes)
+    return engine, outcomes, readings
+
+
+class TestPooledTelemetry:
+    def test_inflight_gauge_never_exceeds_workers_plus_one(self, pooled_sweep):
+        engine, _, readings = pooled_sweep
+        assert 1 <= max(readings) <= engine.config.workers + 1
+        assert readings[-1] == 0
+
+    def test_pooled_wall_s_counts_only_the_run(self, pooled_sweep):
+        _, outcomes, _ = pooled_sweep
+        # a job that waited for a worker would also count the nap of the
+        # job ahead of it
+        for outcome in outcomes:
+            assert _NAP_S <= outcome.wall_s < 2 * _NAP_S, outcome.job.job_id
 
 
 # -- span stitching ----------------------------------------------------

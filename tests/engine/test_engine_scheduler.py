@@ -6,6 +6,7 @@ robustness machinery is exercised without paying for real simulations.
 Parity tests use real (tiny) simulations.
 """
 
+import multiprocessing
 import os
 import time
 
@@ -19,6 +20,7 @@ from repro.engine.scheduler import (
     SweepEngine,
 )
 from repro.harness.experiment import run_experiment
+from repro.harness.persistence import result_to_dict
 from repro.mcd.domains import CONTROLLED_DOMAINS
 from repro.mcd.processor import SimulationHistory, SimulationResult
 from repro.power.model import EnergyAccount
@@ -55,6 +57,15 @@ def _sleep_on_pid(job):
     return _fake_result(job)
 
 
+def _die_in_pool_on_pid(job):
+    """Kill the pool worker that runs the pid job; run it in-process."""
+    from repro.engine.jobs import run_job
+
+    if job.scheme == "pid" and multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return run_job(job)
+
+
 def _jobs(schemes, benchmark="adpcm-encode", **kwargs):
     return [
         SweepJob.make(benchmark, scheme=scheme, **kwargs)
@@ -84,9 +95,9 @@ class TestParity:
         assert len(serial) == len(pooled) == 4
         for s, p in zip(serial, pooled):
             assert p.job.job_id == s.job.job_id  # input order preserved
-            assert p.result.energy.total == s.result.energy.total
-            assert p.result.time_ns == s.result.time_ns
-            assert p.result.transitions == s.result.transitions
+            assert result_to_dict(p.result, include_history=True) == (
+                result_to_dict(s.result, include_history=True)
+            )
 
 
 class TestTraceGrouping:
@@ -207,6 +218,28 @@ class TestRobustness:
         assert all(o.ok for o in outcomes)
         kinds = [e.kind for e in events]
         assert tm.POOL_UNAVAILABLE in kinds
+
+
+    def test_broken_pool_finishes_in_process(self):
+        jobs = _jobs(
+            ("full-speed", "adaptive", "pid", "attack-decay"),
+            max_instructions=800,
+        )
+        serial = SweepEngine(EngineConfig(workers=1)).run(jobs)
+        engine = SweepEngine(
+            EngineConfig(workers=2, retries=0), runner=_die_in_pool_on_pid
+        )
+        events = []
+        engine.telemetry.add_listener(events.append)
+        outcomes = engine.run(jobs)
+        # an attempt the broken pool lost is no attempt: each job ran once
+        assert [(o.ok, o.attempts) for o in outcomes] == [(True, 1)] * 4
+        assert [result_to_dict(o.result) for o in outcomes] == [
+            result_to_dict(o.result) for o in serial
+        ]
+        lost = [e for e in events if e.kind == tm.POOL_UNAVAILABLE]
+        assert len(lost) == 1
+        assert lost[0].data["remaining_jobs"] >= 1
 
 
 class TestCacheIntegration:

@@ -143,6 +143,29 @@ class TestPooledDrain:
         assert summary["cancelled"] == cancelled
         assert summary["failures"] == 0
 
+    def test_pooled_drain_runs_only_what_it_started(self):
+        workers = 2
+        engine = SweepEngine(
+            EngineConfig(workers=workers, retries=0), runner=_slow_runner
+        )
+        jobs = make_jobs(8)
+
+        def drain_at_first_finish(event):
+            if event.kind == tm.JOB_FINISHED:
+                engine.request_shutdown()
+
+        engine.telemetry.add_listener(drain_at_first_finish)
+        outcomes = engine.run(jobs)
+        counters = engine.telemetry.counters
+        started = counters[tm.JOB_STARTED]
+        # every attempt handed out ran to an end; nothing else started
+        assert started == counters[tm.JOB_FINISHED] + counters[tm.JOB_FAILED]
+        assert counters[tm.JOB_CANCELLED] == len(jobs) - started
+        assert [o.ok for o in outcomes].count(True) == counters[tm.JOB_FINISHED]
+        # the drain came at the first finish, with at most workers + 1
+        # attempts handed out; up-front submission starts all 8
+        assert started <= workers + 2
+
 
 class TestSignalHandling:
     def test_signal_requests_shutdown_without_raising(self):
