@@ -142,7 +142,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.engine import EngineConfig, SweepEngine
+    from repro.engine import (
+        EngineConfig,
+        JsonlEventLog,
+        ProgressReporter,
+        SweepEngine,
+        shutdown_on_signals,
+    )
     from repro.simcore import resolve_core
 
     try:
@@ -159,18 +165,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         return 2
 
-    from repro.engine import shutdown_on_signals
-
     engine = SweepEngine(
         EngineConfig(
             workers=args.jobs,
             cache_dir=args.cache_dir,
             timeout_s=args.timeout,
             retries=args.retries,
-            events_path=args.events,
-            progress=args.progress and not args.json,
         )
     )
+    if args.events:
+        engine.telemetry.add_listener(JsonlEventLog(args.events))
+    if args.progress and not args.json:
+        engine.telemetry.add_listener(ProgressReporter())
     # Ctrl-C / SIGTERM drain the sweep (in-flight jobs finish, queued
     # jobs cancel, telemetry + cache writes flush) instead of aborting.
     with shutdown_on_signals(engine):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.mcd.domains import MachineConfig
-from repro.obs.facade import ObsConfig
+from repro.obs.facade import Observability, ObsConfig
 from repro.obs.spans import SpanContext
 from repro.simcore import resolve_core
 from repro.workloads.phases import BenchmarkSpec
@@ -172,11 +172,15 @@ def _plain(value: Any) -> Any:
     return repr(value)
 
 
-def run_job(job: SweepJob) -> "SimulationResult":
+def run_job(
+    job: SweepJob, obs: Optional[Observability] = None
+) -> "SimulationResult":
     """Execute one job in the current process.
 
     Module-level (not a method) so a process pool can pickle it as the
-    default worker entry point.
+    default worker entry point.  A live ``obs`` (which cannot cross a
+    process boundary) overrides ``job.obs``; serve's traced runs pass one
+    to stream probe events as they happen.
     """
     from repro.harness.experiment import run_experiment
 
@@ -192,6 +196,6 @@ def run_job(job: SweepJob) -> "SimulationResult":
         adaptive_overrides=dict(job.adaptive_overrides)
         if job.adaptive_overrides
         else None,
-        obs=job.obs,
+        obs=job.obs if obs is None else obs,
         simcore=job.simcore,
     )

@@ -94,10 +94,6 @@ class EngineConfig:
     timeout_s: Optional[float] = None
     #: extra attempts after a job's first failure.
     retries: int = 1
-    #: JSON-lines event log path; ``None`` disables it.
-    events_path: Optional[str] = None
-    #: print one progress line per completed job.
-    progress: bool = False
 
 
 @dataclass
@@ -210,16 +206,14 @@ class SweepEngine:
         self,
         config: Optional[EngineConfig] = None,
         runner: Callable[[SweepJob], SimulationResult] = run_job,
-        telemetry: Optional[tm.RunTelemetry] = None,
         tracer: Optional[SpanRecorder] = None,
         trace_parent: Optional[SpanContext] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.config = config or EngineConfig()
         self.runner = runner
-        self.telemetry = telemetry or tm.RunTelemetry()
-        if self.config.events_path:
-            self.telemetry.add_listener(tm.JsonlEventLog(self.config.events_path))
+        #: the event hub; attach listeners with ``telemetry.add_listener``
+        self.telemetry = tm.RunTelemetry()
         self.cache = (
             ResultCache(self.config.cache_dir)
             if self.config.cache_dir
@@ -290,8 +284,6 @@ class SweepEngine:
     def run(self, jobs: Sequence[SweepJob]) -> List[JobOutcome]:
         """Execute ``jobs``; outcomes come back in input order."""
         jobs = list(jobs)
-        if self.config.progress:
-            self.telemetry.add_listener(tm.ProgressReporter(len(jobs)))
         if self.tracer is not None:
             self._sweep_span = self.tracer.start(
                 "sweep",

@@ -2,7 +2,9 @@
 
 Every engine action emits a :class:`TelemetryEvent` -- job started,
 finished, cache hit, retried, failed, plus sweep start/end markers.
-Events fan out to any number of listeners; two are provided:
+Events fan out to the listeners attached with
+:meth:`RunTelemetry.add_listener`; two are provided, and the ``sweep``
+CLI attaches both:
 
 * :class:`JsonlEventLog` appends one JSON object per line to a file
   (the ``--events events.jsonl`` CLI option), making a sweep's execution
@@ -12,7 +14,8 @@ Events fan out to any number of listeners; two are provided:
 
 The :class:`RunTelemetry` aggregator also keeps wall-time and
 throughput counters so the engine can report a summary without any
-listener attached.
+listener attached.  They count one sweep: ``sweep_started`` resets them,
+so an engine that runs twice reports each run on its own.
 """
 
 from __future__ import annotations
@@ -34,6 +37,16 @@ JOB_CANCELLED = "job_cancelled"
 POOL_UNAVAILABLE = "pool_unavailable"
 SHUTDOWN_REQUESTED = "shutdown_requested"
 SWEEP_FINISHED = "sweep_finished"
+
+#: the job events :class:`RunTelemetry` counts
+_COUNTED = (
+    JOB_STARTED,
+    JOB_FINISHED,
+    JOB_CACHE_HIT,
+    JOB_RETRIED,
+    JOB_FAILED,
+    JOB_CANCELLED,
+)
 
 
 def condense_probe_summary(
@@ -106,14 +119,22 @@ class JsonlEventLog:
 
 
 class ProgressReporter:
-    """Listener printing one line per terminal job event."""
+    """Listener printing one line per terminal job event.
 
-    def __init__(self, total: int, stream: Optional[TextIO] = None) -> None:
-        self.total = total
+    Each ``sweep_started`` event carries its sweep's job count, so the
+    ``[done/total]`` numbering starts over with every sweep.
+    """
+
+    def __init__(self, stream: Optional[TextIO] = None) -> None:
+        self.total = 0
         self.done = 0
         self.stream = stream or sys.stderr
 
     def __call__(self, event: TelemetryEvent) -> None:
+        if event.kind == SWEEP_STARTED:
+            self.total = event.data.get("total_jobs", 0)
+            self.done = 0
+            return
         if event.kind not in (JOB_FINISHED, JOB_CACHE_HIT, JOB_FAILED):
             return
         self.done += 1
@@ -130,23 +151,11 @@ class ProgressReporter:
 
 
 class RunTelemetry:
-    """Event hub + counters for one sweep run."""
+    """Event hub + counters for the latest sweep run."""
 
-    def __init__(
-        self,
-        listeners: Optional[List[Callable[[TelemetryEvent], None]]] = None,
-    ) -> None:
-        self.listeners: List[Callable[[TelemetryEvent], None]] = list(
-            listeners or []
-        )
-        self.counters: Dict[str, int] = {
-            JOB_STARTED: 0,
-            JOB_FINISHED: 0,
-            JOB_CACHE_HIT: 0,
-            JOB_RETRIED: 0,
-            JOB_FAILED: 0,
-            JOB_CANCELLED: 0,
-        }
+    def __init__(self) -> None:
+        self.listeners: List[Callable[[TelemetryEvent], None]] = []
+        self.counters: Dict[str, int] = dict.fromkeys(_COUNTED, 0)
         self._started_at: Optional[float] = None
         self._finished_at: Optional[float] = None
         #: summed condensed per-job probe summaries (empty when obs is off)
@@ -156,10 +165,10 @@ class RunTelemetry:
     def add_listener(
         self, listener: Callable[[TelemetryEvent], None]
     ) -> None:
-        # registration happens before the sweep starts (engine
-        # construction / run() preamble); the executor handoff between
+        # registration happens before the sweep starts (between building
+        # the engine and calling run()); the executor handoff between
         # those points establishes happens-before, so no lock is needed.
-        self.listeners.append(listener)  # statcheck: disable=LOCK001 -- listeners are registered before the run thread starts emitting
+        self.listeners.append(listener)
 
     def emit(
         self, kind: str, job_id: Optional[str] = None, **data: Any
@@ -167,12 +176,17 @@ class RunTelemetry:
         event = TelemetryEvent(
             kind=kind, timestamp=time.time(), job_id=job_id, data=data
         )
-        if kind in self.counters:
-            self.counters[kind] += 1
         if kind == SWEEP_STARTED:
+            # a new sweep of the same engine starts its counts afresh
+            self.counters = dict.fromkeys(_COUNTED, 0)
+            self.obs_totals = {}
+            self._obs_jobs = 0
             self._started_at = time.monotonic()
+            self._finished_at = None
         elif kind == SWEEP_FINISHED:
             self._finished_at = time.monotonic()
+        elif kind in self.counters:
+            self.counters[kind] += 1
         for listener in self.listeners:
             listener(event)
         return event

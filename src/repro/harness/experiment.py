@@ -72,7 +72,6 @@ def build_controllers(
     machine: Optional[MachineConfig] = None,
     pid_interval_ns: Optional[float] = None,
     adaptive_overrides: Optional[Dict[str, object]] = None,
-    attack_decay_interval_ns: Optional[float] = None,
 ) -> Dict[DomainId, DvfsController]:
     """Instantiate one controller per controlled domain for ``scheme``.
 
@@ -103,14 +102,7 @@ def build_controllers(
             config = make_config(domain, **overrides)
             controllers[domain] = AdaptiveDvfsController(domain, config, machine)
         elif scheme == "attack-decay":
-            ad_config = AttackDecayConfig(
-                capacity=machine.queue_capacity(domain),
-                **(
-                    {"interval_ns": attack_decay_interval_ns}
-                    if attack_decay_interval_ns is not None
-                    else {}
-                ),
-            )
+            ad_config = AttackDecayConfig(capacity=machine.queue_capacity(domain))
             controllers[domain] = AttackDecayController(domain, ad_config)
         elif scheme == "pid":
             pid_config = PidConfig(

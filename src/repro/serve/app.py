@@ -39,10 +39,9 @@ import weakref
 from typing import Any, AsyncIterator, Dict, List, Optional, Set, Tuple
 
 from repro.engine.cache import ResultCache, job_cache_key
-from repro.engine.jobs import SweepJob
+from repro.engine.jobs import SweepJob, run_job
 from repro.engine.scheduler import EngineConfig, SweepEngine
-from repro.engine.telemetry import RunTelemetry
-from repro.harness.experiment import SCHEMES, run_experiment
+from repro.harness.experiment import SCHEMES
 from repro.harness.persistence import result_to_dict
 from repro.mcd.domains import MachineConfig
 from repro.mcd.processor import SimulationResult
@@ -91,10 +90,6 @@ class ServeConfig:
     #: coalescer: batch size and max added latency for ``/v1/runs``.
     max_batch: int = 8
     max_delay_s: float = 0.005
-    #: job registry and SSE buffering.
-    max_jobs: int = 1024
-    history_limit: int = 8192
-    queue_size: int = 1024
     #: threads executing simulations off the event loop.
     executor_threads: int = 4
     #: default simulation core for submitted jobs (``None`` = env default).
@@ -106,11 +101,7 @@ class ServeApp:
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
-        self.store = JobStore(
-            max_jobs=self.config.max_jobs,
-            history_limit=self.config.history_limit,
-            queue_size=self.config.queue_size,
-        )
+        self.store = JobStore()
         self._t0 = time.monotonic_ns()
         #: process-wide metrics registry, scraped by ``GET /metrics``.
         self.metrics = MetricsRegistry()
@@ -445,23 +436,7 @@ class ServeApp:
                                   attrs={"traced": True})
         try:
             result = await loop.run_in_executor(
-                self.executor,
-                functools.partial(
-                    run_experiment,
-                    job.benchmark,
-                    scheme=job.scheme,
-                    machine=job.machine,
-                    max_instructions=job.max_instructions,
-                    seed=job.seed,
-                    record_history=job.record_history,
-                    history_stride=job.history_stride,
-                    pid_interval_ns=job.pid_interval_ns,
-                    adaptive_overrides=dict(job.adaptive_overrides)
-                    if job.adaptive_overrides
-                    else None,
-                    obs=observability,
-                    simcore=job.simcore,
-                ),
+                self.executor, run_job, job, observability
             )
         except Exception as exc:  # noqa: BLE001 -- job fault -> job state
             child.set_attr("error", str(exc))
@@ -552,16 +527,15 @@ class ServeApp:
                 record, stream, payload
             )
         )
-        telemetry = RunTelemetry(listeners=[bridge.telemetry_listener()])
         engine = SweepEngine(
             EngineConfig(
                 workers=self.config.workers, cache_dir=self.config.cache_dir
             ),
-            telemetry=telemetry,
             tracer=self.tracer,
             trace_parent=root.context,
             metrics=self.metrics,
         )
+        engine.telemetry.add_listener(bridge.telemetry_listener())
         self._engines.add(engine)
         try:
             outcomes = await loop.run_in_executor(

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Any, Optional, Tuple, Type
 from repro.simcore.markers import hot_path
 from repro.simcore.tables import SimTables, tables_for
 from repro.simcore.validate import assert_results_identical, results_identical
-from repro.simcore.wheel import EventWheel
 
 if TYPE_CHECKING:
     from repro.mcd.processor import MCDProcessor
@@ -40,7 +39,6 @@ __all__ = [
     "CORES",
     "DEFAULT_CORE",
     "SIMCORE_ENV",
-    "EventWheel",
     "SimTables",
     "assert_results_identical",
     "create_processor",

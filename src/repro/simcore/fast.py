@@ -14,8 +14,9 @@ purely from how the same arithmetic is dispatched, never from changing it:
   domain tag, store/branch flags are precomputed once per trace, replacing
   per-issue enum-keyed dict lookups (enum ``__hash__`` is Python-level and
   profiled as ~8% of reference wall time);
-* **tag-indexed wake scheduler** -- :class:`repro.simcore.wheel.EventWheel`
-  lists replace the ``Dict[DomainId, ...]`` sleep/timer/generation maps;
+* **tag-indexed wake state** -- ``run()`` copies the processor's
+  ``Dict[DomainId, ...]`` sleep/timer/generation maps into lists indexed by
+  edge tag on entry and writes them back on exit;
 * **frequency-keyed rows** -- a slewing domain-tick fetches one
   :class:`repro.simcore.tables.SimTables` row for its new frequency: V(f),
   the awake and asleep background energy and the three per-cycle energy
@@ -70,8 +71,7 @@ from repro.mcd.processor import (
 from repro.mcd.queues import QueueEntry
 from repro.mcd.rob import RobEntry
 from repro.simcore.markers import hot_path
-from repro.simcore.tables import SimTables, tables_for
-from repro.simcore.wheel import EventWheel
+from repro.simcore.tables import tables_for
 from repro.workloads.instructions import InstructionKind as K
 
 _INF = float("inf")
@@ -100,16 +100,9 @@ _KIND_ROWS = {
 class FastMCDProcessor(MCDProcessor):
     """The fast core.  Construction and results match MCDProcessor exactly."""
 
-    def __init__(self, *args: object, tables: Optional[SimTables] = None, **kwargs: object) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-        self._tables = (
-            tables if tables is not None else tables_for(self.config, self.power)
-        )
-        # Shared event wheel: replaces the base heap and the enum-keyed
-        # wake/sleep dicts.  The base dicts stay as (synced) views so
-        # external introspection keeps working.
-        self._wheel = EventWheel()
-        self._heap = self._wheel.heap
+        self._tables = tables_for(self.config, self.power)
 
         # --- trace-parallel instruction arrays (index = inst.index) -------
         trace = self.trace
@@ -178,46 +171,6 @@ class FastMCDProcessor(MCDProcessor):
             )
             for d in CONTROLLED_DOMAINS
         ]
-        # reused buffers: the allocation-free sample/issue paths
-        self._occ_buf = [0, 0, 0, 0]
-        self._issued_buf: list = []
-
-    # ------------------------------------------------------------------
-    # cold-path overrides: keep the wheel and the reference-dict views in
-    # sync when the processor is poked outside run() (tests, tooling)
-    # ------------------------------------------------------------------
-
-    def _push(self, time_ns: float, tag: int, payload: int = 0) -> None:
-        self._wheel.push(time_ns, tag, payload)
-        self._seq = self._wheel.seq
-
-    def _wake(self, domain: DomainId, wake_ns: float) -> None:
-        tag = _EDGE_TAG[domain]
-        self._wheel.wake(tag)
-        self._sleeping[domain] = False
-        self._timer_target[domain] = None
-        self._wake_gen[domain] = self._wheel.wake_gen[tag]
-        clock = self.clocks[domain]
-        clock.skip_to(wake_ns)
-        self._push(clock.next_edge_ns, tag)
-
-    def _sleep(self, domain: DomainId, now_ns: float, timer_ns: Optional[float]) -> None:
-        tag = _EDGE_TAG[domain]
-        self._wheel.sleep(tag, timer_ns)
-        self._seq = self._wheel.seq
-        self._sleeping[domain] = True
-        self._timer_target[domain] = timer_ns
-        self._wake_gen[domain] = self._wheel.wake_gen[tag]
-
-    def _on_dispatch(self, domain: DomainId, entry) -> None:
-        tag = _EDGE_TAG[domain]
-        if not self._wheel.sleeping[tag]:
-            return
-        wake_ns = entry.visible_ns
-        timer = self._wheel.timer_target[tag]
-        if timer is not None:
-            wake_ns = min(wake_ns, timer)
-        self._wake(domain, wake_ns)
 
     # ------------------------------------------------------------------
     # the megaloop
@@ -239,12 +192,21 @@ class FastMCDProcessor(MCDProcessor):
         # --- bind everything to locals --------------------------------
         trace = self.trace
         trace_len = len(trace)
-        wheel = self._wheel
-        heap = wheel.heap
-        seq = wheel.seq
-        sleeping = wheel.sleeping
-        timer_target = wheel.timer_target
-        wake_gen = wheel.wake_gen
+        heap = self._heap
+        seq = self._seq
+        d_int = DomainId.INT
+        d_fp = DomainId.FP
+        d_ls = DomainId.LS
+        exec_tags = ((d_int, 1), (d_fp, 2), (d_ls, 3))
+        # wake state indexed by edge tag (the front end's is _fe_sleeping),
+        # read from the processor's dicts here and written back at loop end
+        sleeping = [False, False, False, False]
+        timer_target = [None, None, None, None]
+        wake_gen = [0, 0, 0, 0]
+        for domain, tag in exec_tags:
+            sleeping[tag] = self._sleeping[domain]
+            timer_target[tag] = self._timer_target[domain]
+            wake_gen[tag] = self._wake_gen[domain]
         pause = self._pause_until
 
         clocks = [
@@ -361,9 +323,6 @@ class FastMCDProcessor(MCDProcessor):
         bg_e = [0.0, 0.0, 0.0, 0.0]
         for denum, tag in edge_tags:
             bg_e[tag] = bd[denum]
-        d_int = DomainId.INT
-        d_fp = DomainId.FP
-        d_ls = DomainId.LS
         fsum = [0.0, self._freq_sum[d_int], self._freq_sum[d_fp], self._freq_sum[d_ls]]
         freq_samples = self._freq_samples
 
@@ -378,8 +337,9 @@ class FastMCDProcessor(MCDProcessor):
         prof = self._profiler
         prof_add = prof.add if prof is not None else None
 
-        occs = self._occ_buf
-        issued_buf = self._issued_buf
+        # scratch buffers: the allocation-free sample and issue paths
+        occs = [0, 0, 0, 0]
+        issued_buf = []
 
         # Parked clocks: a clock whose next edges can only spin keeps its
         # owed edge in next_edge[tag], off the heap, until a completion, a
@@ -1202,7 +1162,6 @@ class FastMCDProcessor(MCDProcessor):
             heappush(heap, (next_edge[tag], tag, seq, 0))
         for denum, tag in edge_tags:
             bd[denum] = bg_e[tag]
-        wheel.seq = seq
         self._seq = seq
         self._now = time_ns
         fe.next_index = fe_next
@@ -1219,7 +1178,7 @@ class FastMCDProcessor(MCDProcessor):
             clock._freq_ghz = freqs[tag]
             clock._next_edge_ns = next_edge[tag]
             clock._rng.gauss_next = gauss_next[tag]
-        for domain, tag in ((d_int, 1), (d_fp, 2), (d_ls, 3)):
+        for domain, tag in exec_tags:
             self._sleeping[domain] = sleeping[tag]
             self._timer_target[domain] = timer_target[tag]
             self._wake_gen[domain] = wake_gen[tag]

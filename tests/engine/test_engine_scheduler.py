@@ -6,6 +6,7 @@ robustness machinery is exercised without paying for real simulations.
 Parity tests use real (tiny) simulations.
 """
 
+import io
 import multiprocessing
 import os
 import time
@@ -240,6 +241,26 @@ class TestRobustness:
         lost = [e for e in events if e.kind == tm.POOL_UNAVAILABLE]
         assert len(lost) == 1
         assert lost[0].data["remaining_jobs"] >= 1
+
+
+class TestEngineReuse:
+    def test_second_run_reports_only_its_own_jobs(self):
+        engine = SweepEngine(EngineConfig(), runner=_fake_result)
+        stream = io.StringIO()
+        engine.telemetry.add_listener(tm.ProgressReporter(stream=stream))
+        summaries = []
+
+        def on_finished(event):
+            if event.kind == tm.SWEEP_FINISHED:
+                summaries.append(event.data)
+
+        engine.telemetry.add_listener(on_finished)
+        engine.run(_jobs(("adaptive", "pid")))
+        engine.run(_jobs(("full-speed",)))
+        counts = [line.split()[0] for line in stream.getvalue().splitlines()]
+        assert counts == ["[1/2]", "[2/2]", "[1/1]"]
+        assert [s["jobs_run"] for s in summaries] == [2, 1]
+        assert engine.telemetry.summary()["jobs_run"] == 1
 
 
 class TestCacheIntegration:

@@ -35,7 +35,8 @@ class TestRunTelemetry:
 
     def test_listeners_receive_every_event(self):
         seen = []
-        t = tm.RunTelemetry(listeners=[seen.append])
+        t = tm.RunTelemetry()
+        t.add_listener(seen.append)
         t.emit(tm.JOB_STARTED, "x/pid")
         t.emit(tm.JOB_FINISHED, "x/pid")
         assert [e.kind for e in seen] == [tm.JOB_STARTED, tm.JOB_FINISHED]
@@ -45,8 +46,8 @@ class TestRunTelemetry:
 class TestJsonlEventLog:
     def test_one_json_object_per_line(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
-        log = tm.JsonlEventLog(path)
-        t = tm.RunTelemetry(listeners=[log])
+        t = tm.RunTelemetry()
+        t.add_listener(tm.JsonlEventLog(path))
         t.emit(tm.SWEEP_STARTED, total_jobs=1)
         t.emit(tm.JOB_FINISHED, "gzip/adaptive", wall_s=1.25, attempts=1)
         t.emit(tm.SWEEP_FINISHED)
@@ -77,8 +78,9 @@ class TestJsonlEventLog:
 class TestProgressReporter:
     def test_reports_terminal_events_only(self):
         stream = io.StringIO()
-        reporter = tm.ProgressReporter(total=2, stream=stream)
-        t = tm.RunTelemetry(listeners=[reporter])
+        t = tm.RunTelemetry()
+        t.add_listener(tm.ProgressReporter(stream=stream))
+        t.emit(tm.SWEEP_STARTED, total_jobs=2)
         t.emit(tm.JOB_STARTED, "gzip/adaptive")
         t.emit(tm.JOB_FINISHED, "gzip/adaptive", wall_s=0.75)
         t.emit(tm.JOB_CACHE_HIT, "swim/pid")
@@ -88,11 +90,16 @@ class TestProgressReporter:
 
     def test_reports_failures(self):
         stream = io.StringIO()
-        reporter = tm.ProgressReporter(total=1, stream=stream)
+        reporter = tm.ProgressReporter(stream=stream)
+        reporter(
+            tm.TelemetryEvent(
+                kind=tm.SWEEP_STARTED, timestamp=0.0, data={"total_jobs": 1}
+            )
+        )
         reporter(
             tm.TelemetryEvent(
                 kind=tm.JOB_FAILED, timestamp=0.0,
                 job_id="mcf/pid", data={"error": "RuntimeError: boom"},
             )
         )
-        assert "FAILED: RuntimeError: boom" in stream.getvalue()
+        assert "[1/1] mcf/pid: FAILED: RuntimeError: boom" in stream.getvalue()

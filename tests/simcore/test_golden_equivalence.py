@@ -198,18 +198,39 @@ class TestProbeEventStream:
 
 
 class TestClockRngState:
-    """Each clock's jitter RNG ends a run in the reference's state.
+    """A run ends with the reference's scheduling state.
 
     The fast core inlines ``Random.gauss`` and keeps each clock's cached
-    second variate in a local until the loop ends.  No result field shows
-    whether it was handed back, so compare the generators themselves
-    (``getstate()`` includes ``gauss_next``).
+    second variate, edge times and frequency, and the per-domain wake
+    state in locals until the loop ends.  No result field shows whether
+    they were handed back, so compare the processors themselves: each
+    clock's generator (``getstate()`` includes ``gauss_next``), next edge
+    and frequency, the sleep/timer/generation maps, the front end's
+    backpressure flag, the last event time, and the events left on the
+    heap.  Heap entries are compared without their sequence numbers: the
+    fast core pushes fewer events, so its ``seq`` ends lower (DESIGN §6d
+    item 6).
     """
+
+    @staticmethod
+    def _scheduling_state(proc):
+        return {
+            "clocks": {
+                d: (clock._rng.getstate(), clock.next_edge_ns, clock.freq_ghz)
+                for d, clock in proc.clocks.items()
+            },
+            "sleeping": dict(proc._sleeping),
+            "timer_target": dict(proc._timer_target),
+            "wake_gen": dict(proc._wake_gen),
+            "fe_sleeping": proc._fe_sleeping,
+            "now": proc._now,
+            "heap": sorted((t, tag, payload) for t, tag, _, payload in proc._heap),
+        }
 
     @pytest.mark.parametrize(
         "machine",
-        [None, transmeta_machine_config()],
-        ids=["table1", "transmeta"],
+        [None, transmeta_machine_config(), MachineConfig(jitter_sigma_ns=0.0)],
+        ids=["table1", "transmeta", "zero-jitter"],
     )
     def test_clock_rng_state_matches_reference(self, monkeypatch, machine):
         import repro.harness.experiment as experiment_module
@@ -229,11 +250,11 @@ class TestClockRngState:
             max_instructions=_INSTRUCTIONS,
             seed=3,
         )
-        states = {
-            core: {d: clock._rng.getstate() for d, clock in proc.clocks.items()}
-            for core, proc in built.items()
-        }
-        assert states["ref"] == states[_OTHER_CORE]
+        ref = self._scheduling_state(built["ref"])
+        other = self._scheduling_state(built[_OTHER_CORE])
+        assert ref["heap"], "expected events left on the heap"
+        for field in ref:
+            assert ref[field] == other[field], field
 
 
 class TestFastCoreDeterminism:
