@@ -78,7 +78,10 @@ class SweepJob:
         This is the payload the content-addressed cache hashes; any field
         that can change the simulation's outcome must appear here.
         """
-        payload = {"benchmark": _spec_plain(self.benchmark)}
+        payload = {
+            "benchmark": _spec_plain(self.benchmark),
+            "machine": _plain(dataclasses.asdict(self.machine or MachineConfig())),
+        }
         payload.update(self._settings())
         return payload
 
@@ -86,25 +89,30 @@ class SweepJob:
         """``json.dumps(canonical_dict(), sort_keys=True)``.
 
         The benchmark spec is most of the text (~40k characters for
-        gsm-decode), so its JSON comes from a per-spec memo and is spliced
-        in: the top-level items are joined exactly as ``json.dumps`` joins
-        them, with its default separators.
+        gsm-decode), so its JSON comes from a per-spec memo, and the
+        default machine's (``machine=None``) is computed once; both are
+        spliced in: the top-level items are joined exactly as
+        ``json.dumps`` joins them, with its default separators.
         """
         texts = {
             key: json.dumps(value, sort_keys=True)
             for key, value in self._settings().items()
         }
         texts["benchmark"] = _spec_json(self.benchmark)
+        texts["machine"] = (
+            _DEFAULT_MACHINE_JSON
+            if self.machine is None
+            else json.dumps(_plain(dataclasses.asdict(self.machine)), sort_keys=True)
+        )
         return "{" + ", ".join(
             f"{json.dumps(key)}: {texts[key]}" for key in sorted(texts)
         ) + "}"
 
     def _settings(self) -> Dict[str, Any]:
-        """:meth:`canonical_dict` without its ``benchmark`` entry."""
-        machine = self.machine or MachineConfig()
+        """:meth:`canonical_dict` without its ``benchmark`` and
+        ``machine`` entries."""
         return {
             "scheme": self.scheme,
-            "machine": _plain(dataclasses.asdict(machine)),
             "max_instructions": self.max_instructions,
             "seed": self.seed,
             "record_history": self.record_history,
@@ -170,6 +178,13 @@ def _plain(value: Any) -> Any:
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return repr(value)
+
+
+#: ``json.dumps`` of the default machine's plain form, which most jobs key
+#: on (``machine=None``); ``MachineConfig`` is frozen, so it cannot go stale.
+_DEFAULT_MACHINE_JSON = json.dumps(
+    _plain(dataclasses.asdict(MachineConfig())), sort_keys=True
+)
 
 
 def run_job(

@@ -5,32 +5,37 @@ Execution model
 * Each :class:`~repro.engine.jobs.SweepJob` is first checked against the
   optional content-addressed :class:`~repro.engine.cache.ResultCache`;
   hits never reach a worker.
-* Remaining jobs run in one loop, jobs that share a trace (benchmark,
-  ``max_instructions``, seed) back to back, so a process reuses the
-  trace its previous job generated.  The loop hands an attempt to a
+* Remaining jobs run in one loop, grouped by trace (benchmark,
+  ``max_instructions``, seed).  The loop hands out *tasks*: a whole
+  group while at least ``workers`` groups are queued, otherwise one job.
+  A task runs its jobs back to back in one process, so the process
+  generates the group's trace once.  The loop hands a task to a
   :class:`concurrent.futures.ProcessPoolExecutor` (``workers > 1``)
   only while fewer than ``workers + 1`` are in flight on it, or runs one
-  attempt at a time in-process (``workers == 1``).  If the pool cannot
-  be created or breaks mid-sweep, the loop requeues what the pool lost
-  and carries on in-process -- a sweep degrades, it does not abort.
+  job at a time in-process (``workers == 1``).  If the pool cannot be
+  created or breaks mid-sweep, the loop requeues what the pool lost and
+  carries on in-process -- a sweep degrades, it does not abort.
 * A per-job wall-clock timeout is enforced *inside* the executing
   process via ``SIGALRM`` (tasks run on the worker's main thread), so a
   runaway job raises :class:`JobTimeoutError` instead of wedging a pool
   slot forever.
-* A job that raises (or times out) is retried up to ``retries`` times;
-  on exhaustion it is surfaced as a failed :class:`JobOutcome` in the
+* A job that raises (or times out) is retried as a task of its own, up
+  to ``retries`` times; its group-mates keep their own outcomes.  On
+  exhaustion it is surfaced as a failed :class:`JobOutcome` in the
   telemetry stream and the result list, and the sweep continues.
 * A sweep can be **drained**: after :meth:`SweepEngine.request_shutdown`
   (typically installed on SIGINT/SIGTERM via :func:`shutdown_on_signals`)
-  the loop hands out nothing more.  The attempts already handed out
-  finish -- of those, at most one per pool was still waiting for a
-  worker -- every job never handed out is surfaced as ``job_cancelled``
-  telemetry, and ``sweep_finished`` is still emitted, so an interrupted
-  sweep flushes its telemetry and cache writes instead of orphaning pool
-  workers.
-* ``job_started`` fires when an attempt is handed out, and a job's
-  ``wall_s`` is its attempt's own run time, measured in the process
-  that runs it, so it never counts time spent waiting for a worker.
+  the loop hands out nothing more and each pool worker stops before the
+  next job of its task.  The jobs already started finish -- of those,
+  at most one per pool was still waiting for a worker -- every other job
+  is surfaced as ``job_cancelled`` telemetry, and ``sweep_finished`` is
+  still emitted, so an interrupted sweep flushes its telemetry and cache
+  writes instead of orphaning pool workers.
+* ``job_started`` fires only for jobs known to have started: for a
+  task's first job when the task is handed out, for its other jobs when
+  it returns.  A job's ``wall_s`` is its attempt's own run time,
+  measured in the process that runs it, so it never counts time spent
+  waiting for a worker.
 
 Outcomes are returned in input-job order regardless of execution and
 completion order, so pool and serial execution are interchangeable
@@ -42,20 +47,24 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import contextlib
+import multiprocessing
 import signal
 import threading
 import time
 from dataclasses import dataclass
 from types import FrameType
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
+    Deque,
     Dict,
     Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.engine import cache as result_cache
@@ -71,6 +80,9 @@ try:  # BrokenProcessPool moved/aliased across Python versions
     from concurrent.futures.process import BrokenProcessPool
 except ImportError:  # pragma: no cover
     BrokenProcessPool = concurrent.futures.BrokenExecutor  # type: ignore[misc,assignment]
+
+if TYPE_CHECKING:
+    from multiprocessing.synchronize import Event as DrainEvent
 
 
 #: the terminal job outcomes the ``repro_engine_jobs_total`` metric
@@ -146,17 +158,30 @@ def _call_with_timeout(
 #: its run time in seconds.
 _Attempt = Tuple[SimulationResult, Optional[Dict[str, Any]], float]
 
+#: what a task ships home for each job it ran, in order: the attempt, or
+#: the error text of a job that raised.
+_Item = Union[_Attempt, str]
 
-def _pool_entry(
+#: in a pool worker, the engine's drain event (see :func:`_init_worker`);
+#: None in the engine's own process.
+_worker_drain: Optional["DrainEvent"] = None
+
+
+def _init_worker(drain: "DrainEvent") -> None:
+    """Pool initializer: keep the drain event the engine sets on
+    :meth:`SweepEngine.request_shutdown`.  Passed as an initializer
+    argument, it reaches the worker under every start method."""
+    global _worker_drain
+    _worker_drain = drain
+
+
+def _attempt(
     runner: Callable[[SweepJob], SimulationResult],
     job: SweepJob,
     timeout_s: Optional[float],
-    span_parent: Optional[Dict[str, str]] = None,
+    span_parent: Optional[Dict[str, str]],
 ) -> _Attempt:
-    """One attempt, in a worker process or in-process (module-level,
-    hence picklable).
-
-    The run time is measured here, where the attempt runs, so that it
+    """One attempt of ``job``, timed where it runs, so that its run time
     never counts time the attempt spent waiting for a worker.
 
     With a ``span_parent`` context (a plain picklable dict), the run is
@@ -181,11 +206,37 @@ def _pool_entry(
     return result, span.end(), wall_s
 
 
-def _by_trace(jobs: Sequence[SweepJob], indices: List[int]) -> List[int]:
-    """``indices`` with jobs that share a trace back to back.
+def _pool_entry(
+    runner: Callable[[SweepJob], SimulationResult],
+    jobs: Sequence[SweepJob],
+    timeout_s: Optional[float],
+    span_parents: Sequence[Optional[Dict[str, str]]],
+) -> List[_Item]:
+    """Run one task's jobs back to back, in a worker process or
+    in-process (module-level, hence picklable): one item per job that
+    ran, in order.
 
-    Groups run in order of first appearance, and each keeps input order.
-    The key only orders jobs, so it takes the spec's name rather than
+    A job that raises becomes its error text and the next job still
+    runs, so one fault never costs its group-mates their results.  Once
+    the engine's drain event is set, the task stops before its next job;
+    the engine cancels the jobs it returns no item for.
+    """
+    items: List[_Item] = []
+    for job, span_parent in zip(jobs, span_parents):
+        if items and _worker_drain is not None and _worker_drain.is_set():
+            break
+        try:
+            items.append(_attempt(runner, job, timeout_s, span_parent))
+        except Exception as exc:  # noqa: BLE001 -- isolate job faults
+            items.append(f"{type(exc).__name__}: {exc}")
+    return items
+
+
+def _by_trace(jobs: Sequence[SweepJob], indices: List[int]) -> List[List[int]]:
+    """``indices`` in groups of jobs that share a trace.
+
+    Groups come in order of first appearance, and each keeps input order.
+    The key only groups jobs, so it takes the spec's name rather than
     hashing its content again: specs that share a name but not their
     content still run correctly, they just miss the trace memo
     (``repro.harness.experiment``).
@@ -196,7 +247,7 @@ def _by_trace(jobs: Sequence[SweepJob], indices: List[int]) -> List[int]:
         spec = job.benchmark
         seed = spec.seed if job.seed is None else job.seed
         groups.setdefault((spec.name, job.max_instructions, seed), []).append(index)
-    return [index for group in groups.values() for index in group]
+    return list(groups.values())
 
 
 class SweepEngine:
@@ -219,7 +270,12 @@ class SweepEngine:
             if self.config.cache_dir
             else None
         )
+        #: a drain for the run in progress, or for the next one
         self._shutdown = threading.Event()
+        #: whether the latest run was drained (``shutdown_requested``)
+        self._drained = False
+        #: the live pool's drain event, which its workers check between jobs
+        self._pool_drain: Optional["DrainEvent"] = None
         self.tracer = tracer
         self.trace_parent = trace_parent
         self._sweep_span: Optional[Span] = None
@@ -251,7 +307,8 @@ class SweepEngine:
             )
             self._m_inflight = metrics.gauge(
                 "repro_engine_inflight_jobs",
-                "Job attempts handed out and not yet finished "
+                "Job attempts started and not yet finished: one per task in "
+                "flight, whose later jobs start as it returns "
                 "(at most workers + 1; at most one per pool waits for a worker)",
             )
             self._m_cache_ratio = metrics.gauge(
@@ -266,24 +323,32 @@ class SweepEngine:
     # -- public API ----------------------------------------------------
 
     def request_shutdown(self) -> None:
-        """Drain the sweep: hand out no more attempts, let those already
-        handed out finish (of them, at most one per pool was still
-        waiting for a worker), and cancel every job never handed out.
+        """Drain the sweep: hand out no more tasks, stop each pool worker
+        before the next job of its task, let the jobs already started
+        finish (of them, at most one per pool was still waiting for a
+        worker), and cancel every other job.
 
-        Safe to call from any thread (including a signal handler); the
-        first call emits a ``shutdown_requested`` telemetry event.
+        The drain applies to the run in progress or, when none is, to the
+        next one.  Safe to call from any thread (including a signal
+        handler); the first call emits a ``shutdown_requested`` telemetry
+        event.
         """
         if not self._shutdown.is_set():
             self._shutdown.set()
+            pool_drain = self._pool_drain
+            if pool_drain is not None:
+                pool_drain.set()
             self.telemetry.emit(tm.SHUTDOWN_REQUESTED)
 
     @property
     def shutdown_requested(self) -> bool:
-        return self._shutdown.is_set()
+        """A drain is pending, or applied to the run that returned last."""
+        return self._drained or self._shutdown.is_set()
 
     def run(self, jobs: Sequence[SweepJob]) -> List[JobOutcome]:
         """Execute ``jobs``; outcomes come back in input order."""
         jobs = list(jobs)
+        self._drained = False
         if self.tracer is not None:
             self._sweep_span = self.tracer.start(
                 "sweep",
@@ -331,7 +396,6 @@ class SweepEngine:
             else:
                 pending.append(index)
 
-        pending = _by_trace(jobs, pending)
         hits = len(jobs) - len(pending)
         if self._m_cache_ratio is not None and jobs:
             self._m_cache_ratio.set(hits / len(jobs))
@@ -339,9 +403,13 @@ class SweepEngine:
             self._m_pending.inc(len(pending))
 
         if pending:
-            self._execute(jobs, pending, outcomes, keys)
+            self._execute(jobs, _by_trace(jobs, pending), outcomes, keys)
 
         self.telemetry.emit(tm.SWEEP_FINISHED, **self.telemetry.summary())
+        if self._shutdown.is_set():
+            # the drain applied to this run; the next one starts afresh
+            self._shutdown.clear()
+            self._drained = True
         if self._sweep_span is not None:
             self._sweep_span.set_attr("cache_hits", hits)
             self._sweep_span.end()
@@ -439,6 +507,11 @@ class SweepEngine:
         self.telemetry.emit(tm.JOB_CANCELLED, job.job_id, reason="shutdown")
         self._job_done("cancelled")
 
+    def _job_started(self, job: SweepJob, attempt: int, mode: str) -> None:
+        if self._m_inflight is not None:
+            self._m_inflight.inc()
+        self.telemetry.emit(tm.JOB_STARTED, job.job_id, attempt=attempt, mode=mode)
+
     def _open_pool(
         self, workers: int
     ) -> Optional[concurrent.futures.ProcessPoolExecutor]:
@@ -446,7 +519,14 @@ class SweepEngine:
         if workers < 2:
             return None
         try:
-            return concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+            context = multiprocessing.get_context()
+            drain = context.Event()
+            pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=context,
+                initializer=_init_worker,
+                initargs=(drain,),
+            )
         except (OSError, ImportError, NotImplementedError, ValueError) as exc:
             self.telemetry.emit(
                 tm.POOL_UNAVAILABLE,
@@ -454,19 +534,23 @@ class SweepEngine:
                 fallback="serial",
             )
             return None
+        # published before the first hand-out: a drain requested earlier
+        # is seen by the loop, a later one sets the event too
+        self._pool_drain = drain
+        return pool
 
     def _hand_out(
         self,
         pool: Optional[concurrent.futures.ProcessPoolExecutor],
-        job: SweepJob,
-    ) -> concurrent.futures.Future[_Attempt]:
-        """Start one attempt on ``pool``, or run it here to an already
+        jobs: List[SweepJob],
+    ) -> concurrent.futures.Future[List[_Item]]:
+        """Start one task on ``pool``, or run it here to an already
         completed future, so both modes share one completion path."""
         args = (
-            self.runner, job, self.config.timeout_s,
-            self._span_parent_dict(job),
+            self.runner, jobs, self.config.timeout_s,
+            [self._span_parent_dict(job) for job in jobs],
         )
-        future: concurrent.futures.Future[_Attempt] = concurrent.futures.Future()
+        future: concurrent.futures.Future[List[_Item]] = concurrent.futures.Future()
         try:
             if pool is not None:
                 return pool.submit(_pool_entry, *args)
@@ -478,102 +562,122 @@ class SweepEngine:
     def _execute(
         self,
         jobs: Sequence[SweepJob],
-        indices: Sequence[int],
+        groups: List[List[int]],
         outcomes: List[Optional[JobOutcome]],
         keys: Sequence[Optional[str]],
     ) -> None:
-        """Run each job in ``indices`` to one outcome, handing them out in
-        that order (a retry goes to the front).
+        """Run each job in ``groups`` to one outcome, handing out tasks in
+        that order (a retry goes to the front, as a task of its own).
 
-        The loop hands an attempt to the pool only while fewer than
-        ``workers + 1`` are in flight on it: the one beyond ``workers``
-        waits in the pool's queue, so a worker that finishes a job starts
-        the next without waiting for this loop, and every other job stays
-        here, where a drain reaches it before it starts.
+        A task is a whole group while at least ``workers`` groups are
+        queued, so one worker generates the group's trace once; otherwise,
+        and always in-process, it is one job, so the last groups still
+        spread over every worker.  The loop hands a task to the pool only
+        while fewer than ``workers + 1`` are in flight on it: the one
+        beyond ``workers`` waits in the pool's queue, so a worker that
+        finishes a task starts the next without waiting for this loop,
+        and every other job stays here, where a drain reaches it before
+        it starts.
         """
-        queue = collections.deque(indices)
-        attempts = dict.fromkeys(indices, 0)
-        inflight: Dict[concurrent.futures.Future[_Attempt], int] = {}
-        workers = min(self.config.workers, len(indices))
+        queue: Deque[List[int]] = collections.deque(groups)
+        attempts = {index: 0 for group in groups for index in group}
+        inflight: Dict[concurrent.futures.Future[List[_Item]], List[int]] = {}
+        workers = min(self.config.workers, len(attempts))
         pool = self._open_pool(workers)
         try:
             while True:
                 if self._shutdown.is_set():
                     while queue:
-                        index = queue.popleft()
-                        self._record_cancelled(
-                            index, jobs[index], attempts[index], outcomes
-                        )
+                        for index in queue.popleft():
+                            self._record_cancelled(
+                                index, jobs[index], attempts[index], outcomes
+                            )
                 limit = 1 if pool is None else workers + 1
                 while queue and len(inflight) < limit:
-                    index = queue.popleft()
-                    attempts[index] += 1
-                    if self._m_inflight is not None:
-                        self._m_inflight.inc()
-                    self.telemetry.emit(
-                        tm.JOB_STARTED, jobs[index].job_id,
-                        attempt=attempts[index],
-                        mode="serial" if pool is None else "pool",
+                    if pool is not None and len(queue) >= workers:
+                        task = queue.popleft()
+                    else:
+                        task = [queue[0].pop(0)]
+                        if not queue[0]:
+                            queue.popleft()
+                    attempts[task[0]] += 1
+                    self._job_started(
+                        jobs[task[0]], attempts[task[0]],
+                        "serial" if pool is None else "pool",
                     )
-                    inflight[self._hand_out(pool, jobs[index])] = index
+                    inflight[self._hand_out(pool, [jobs[i] for i in task])] = task
                 if not inflight:
                     return
                 done, _ = concurrent.futures.wait(
                     inflight, return_when=concurrent.futures.FIRST_COMPLETED
                 )
                 for future in done:
-                    index = inflight.pop(future)
-                    job = jobs[index]
-                    if self._m_inflight is not None:
-                        self._m_inflight.dec()
+                    task = inflight.pop(future)
                     try:
-                        result, span, wall_s = future.result()
+                        items = future.result()
                     except Exception as exc:  # noqa: BLE001 -- isolate job faults
                         error = f"{type(exc).__name__}: {exc}"
                         if pool is not None and isinstance(exc, BrokenProcessPool):
                             # a worker died hard (OOM-kill, segfault):
-                            # requeue every attempt the pool held and
-                            # finish in-process rather than losing the sweep
-                            lost = [index, *inflight.values()]
+                            # requeue every job of the tasks the pool held
+                            # and finish in-process rather than losing the
+                            # sweep; only a task's first job had started
+                            lost = [task, *inflight.values()]
                             if self._m_inflight is not None:
-                                self._m_inflight.dec(len(inflight))
+                                self._m_inflight.dec(len(lost))
                             inflight.clear()
-                            for i in lost:
-                                attempts[i] -= 1
+                            for lost_task in lost:
+                                attempts[lost_task[0]] -= 1
                             queue.extendleft(reversed(lost))
                             self.telemetry.emit(
                                 tm.POOL_UNAVAILABLE,
                                 error=error,
                                 fallback="serial",
                                 remaining_jobs=sum(
-                                    1 for i in indices if outcomes[i] is None
+                                    1 for i in attempts if outcomes[i] is None
                                 ),
                             )
                             pool.shutdown()
                             pool = None
                             break  # the rest of `done` was requeued too
-                        if (
+                        # the task's first job is the one known to have
+                        # started; the others go back unstarted
+                        items = [error]
+                    if len(items) < len(task):
+                        # jobs the task never started (a drain stopped it,
+                        # or it failed as a whole) go back to the front
+                        queue.appendleft(task[len(items):])
+                    for position, (index, item) in enumerate(zip(task, items)):
+                        job = jobs[index]
+                        if position:
+                            attempts[index] += 1
+                            self._job_started(job, attempts[index], "pool")
+                        if self._m_inflight is not None:
+                            self._m_inflight.dec()
+                        if not isinstance(item, str):
+                            result, span, wall_s = item
+                            self._record_worker_span(span)
+                            self._record_success(
+                                index, job, result, attempts[index], wall_s,
+                                outcomes, keys[index],
+                            )
+                        elif (
                             attempts[index] <= self.config.retries
                             and not self._shutdown.is_set()
                         ):
                             self.telemetry.emit(
                                 tm.JOB_RETRIED, job.job_id,
-                                error=error, attempt=attempts[index],
+                                error=item, attempt=attempts[index],
                             )
                             if self._m_retries is not None:
                                 self._m_retries.inc()
-                            queue.appendleft(index)
+                            queue.appendleft([index])
                         else:
                             self._record_failure(
-                                index, job, error, attempts[index], outcomes
+                                index, job, item, attempts[index], outcomes
                             )
-                    else:
-                        self._record_worker_span(span)
-                        self._record_success(
-                            index, job, result, attempts[index], wall_s,
-                            outcomes, keys[index],
-                        )
         finally:
+            self._pool_drain = None
             if pool is not None:
                 pool.shutdown()
 
@@ -585,10 +689,11 @@ def shutdown_on_signals(
 ) -> Iterator[SweepEngine]:
     """Install handlers that drain ``engine`` on the given signals.
 
-    The first signal requests a graceful drain: no attempt is handed
-    out after it, those already handed out finish (of them, at most one
-    per pool was still waiting for a worker), every job never handed
-    out is cancelled, and telemetry and cache writes are flushed.  A
+    The first signal requests a graceful drain: no task is handed out
+    after it and each pool worker stops before the next job of its task,
+    the jobs already started finish (of them, at most one per pool was
+    still waiting for a worker), every other job is cancelled, and
+    telemetry and cache writes are flushed.  A
     second delivery falls through to the previously installed handler,
     so a double Ctrl-C still kills a wedged sweep.  Previous handlers
     are restored on exit.  Off the main thread, where Python forbids

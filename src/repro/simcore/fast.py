@@ -1156,10 +1156,9 @@ class FastMCDProcessor(MCDProcessor):
                     heappush(heap, (next_edge[dtag], dtag, seq, 0))
 
         # --- write locals back into object state ----------------------
-        # still-parked clocks' owed edges go on the heap, as in the reference
-        for tag in pk:
-            seq += 1
-            heappush(heap, (next_edge[tag], tag, seq, 0))
+        # no clock is parked here: the loop ends on a popped front-end
+        # edge, and a parked domain's queue would still hold an unissued,
+        # hence unretired, instruction (DESIGN §6d item 6)
         for denum, tag in edge_tags:
             bd[denum] = bg_e[tag]
         self._seq = seq

@@ -236,6 +236,39 @@ class TestSpanStitching:
                 for child in tree["children"]
             )
 
+    def test_grouped_worker_spans_nest_under_their_own_parents(self):
+        """A pool task of several jobs ships one span per job, each under
+        the context its own job carried (or the sweep span)."""
+        tracer = SpanRecorder()
+        roots = {}
+        jobs = []
+        for seed in (1, 2, 3):
+            for scheme in ("full-speed", "adaptive", "pid"):
+                root = tracer.start(f"request:{scheme}:{seed}")
+                roots[(scheme, seed)] = root
+                jobs.append(SweepJob.make(
+                    "adpcm-encode", scheme=scheme, seed=seed, span=root.context
+                ))
+        jobs.append(SweepJob.make("gzip", scheme="adaptive", seed=1))
+        engine = SweepEngine(
+            EngineConfig(workers=2), runner=_fake_result, tracer=tracer
+        )
+        assert all(o.ok for o in engine.run(jobs))
+        sweep = next(s for s in tracer.spans() if s["name"] == "sweep")
+        for (scheme, seed), root in roots.items():
+            root.end()
+            (worker,) = [
+                s for s in tracer.spans(root.trace_id)
+                if s["name"].startswith("job:")
+            ]
+            assert worker["name"] == f"job:adpcm-encode/{scheme}"
+            assert worker["attrs"]["seed"] == seed
+            assert worker["parent_id"] == root.span_id
+            assert worker["attrs"]["pid"] != os.getpid()
+        (plain,) = [s for s in tracer.spans() if s["name"] == "job:gzip/adaptive"]
+        assert plain["trace_id"] == sweep["trace_id"]
+        assert plain["parent_id"] == sweep["span_id"]
+
     def test_job_carried_span_beats_sweep_span(self):
         tracer = SpanRecorder()
         request = tracer.start("request")

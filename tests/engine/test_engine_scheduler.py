@@ -6,6 +6,8 @@ robustness machinery is exercised without paying for real simulations.
 Parity tests use real (tiny) simulations.
 """
 
+import collections
+import functools
 import io
 import multiprocessing
 import os
@@ -65,6 +67,28 @@ def _die_in_pool_on_pid(job):
     if job.scheme == "pid" and multiprocessing.parent_process() is not None:
         os._exit(1)
     return run_job(job)
+
+
+def _log_generations(log_path, job):
+    """Run ``job`` after a short nap, which keeps both pool workers busy,
+    and append a line to ``log_path`` for each trace this process
+    generates."""
+    from repro.engine.jobs import run_job
+    from repro.harness import experiment
+
+    time.sleep(0.05)
+    before = experiment._last_trace
+    result = run_job(job)
+    if experiment._last_trace is not before:
+        with open(log_path, "a") as log:
+            log.write(f"{os.getpid()} {job.benchmark.name} {job.seed}\n")
+    return result
+
+
+def _nap_unless_gzip(job):
+    if job.benchmark.name != "gzip":
+        time.sleep(0.2)
+    return _fake_result(job)
 
 
 def _jobs(schemes, benchmark="adpcm-encode", **kwargs):
@@ -241,6 +265,155 @@ class TestRobustness:
         lost = [e for e in events if e.kind == tm.POOL_UNAVAILABLE]
         assert len(lost) == 1
         assert lost[0].data["remaining_jobs"] >= 1
+
+
+def _grid(benchmarks, schemes, seeds=(1,), **kwargs):
+    """Jobs in ``benchmarks x seeds`` trace groups, one per scheme each."""
+    return [
+        SweepJob.make(bench, scheme, seed=seed, **kwargs)
+        for bench in benchmarks
+        for seed in seeds
+        for scheme in schemes
+    ]
+
+
+@pytest.fixture
+def tasks(monkeypatch):
+    """Every task the engine hands out, as ``(scheme, seed)`` lists."""
+    handed_out = []
+    real = SweepEngine._hand_out
+
+    def spy(self, pool, jobs):
+        handed_out.append([(job.scheme, job.seed) for job in jobs])
+        return real(self, pool, jobs)
+
+    monkeypatch.setattr(SweepEngine, "_hand_out", spy)
+    return handed_out
+
+
+class TestGroupedTasks:
+    """On a pool, a same-trace group runs as one task in one worker while
+    at least ``workers`` groups are queued; each job keeps its own
+    outcome, attempts, timeout and span."""
+
+    def test_pool_generates_each_trace_once(self, tmp_path, monkeypatch):
+        import repro.harness.experiment as experiment_module
+
+        # forked workers inherit the memo: start them without one
+        monkeypatch.setattr(experiment_module, "_last_trace", None)
+        log = tmp_path / "generations.log"
+        jobs = _grid(
+            ("adpcm-encode", "gzip", "swim", "mcf"),
+            ("full-speed", "adaptive", "pid"),
+            max_instructions=300,
+        )
+        engine = SweepEngine(
+            EngineConfig(workers=2),
+            runner=functools.partial(_log_generations, str(log)),
+        )
+        outcomes = engine.run(jobs)
+        assert all(o.ok for o in outcomes)
+        generated = collections.Counter(
+            tuple(line.split()[1:]) for line in log.read_text().splitlines()
+        )
+        assert sorted(generated) == [
+            (bench, "1") for bench in ("adpcm-encode", "gzip", "mcf", "swim")
+        ]
+        # whole groups generate once; only the last group, split over
+        # both workers, may be generated twice (one at a time per job, as
+        # every group was before, each would be generated twice)
+        assert sum(generated.values()) <= len(generated) + 1, generated
+
+    @pytest.mark.parametrize(
+        "runner, config",
+        [
+            (_fail_on_pid, dict(retries=1)),
+            (_sleep_on_pid, dict(retries=1, timeout_s=0.2)),
+        ],
+        ids=["raises", "times-out"],
+    )
+    def test_faulty_job_is_retried_as_its_own_task(self, tasks, runner, config):
+        jobs = _grid(
+            ("adpcm-encode",), ("full-speed", "pid", "adaptive"), seeds=(1, 2, 3)
+        )
+        engine = SweepEngine(EngineConfig(workers=2, **config), runner=runner)
+        outcomes = engine.run(jobs)
+        for outcome in outcomes:
+            if outcome.job.scheme == "pid":
+                assert (outcome.ok, outcome.attempts) == (False, 2)
+            else:
+                assert (outcome.ok, outcome.attempts) == (True, 1)
+        # the first two groups went out whole, the last one job at a time
+        assert tasks[:3] == [
+            [("full-speed", 1), ("pid", 1), ("adaptive", 1)],
+            [("full-speed", 2), ("pid", 2), ("adaptive", 2)],
+            [("full-speed", 3)],
+        ]
+        # each failed attempt came back as a task of its own
+        for seed, alone in ((1, 1), (2, 1), (3, 2)):
+            assert tasks.count([("pid", seed)]) == alone
+        counters = engine.telemetry.counters
+        assert counters[tm.JOB_RETRIED] == 3 and counters[tm.JOB_FAILED] == 3
+        assert counters[tm.JOB_STARTED] == (
+            counters[tm.JOB_FINISHED] + counters[tm.JOB_FAILED]
+            + counters[tm.JOB_RETRIED]
+        )
+
+    def test_worker_killed_mid_group_requeues_its_unfinished_jobs(self, tasks):
+        jobs = _grid(
+            ("adpcm-encode",), ("full-speed", "pid", "adaptive"),
+            seeds=(1, 2, 3), max_instructions=300,
+        )
+        serial = SweepEngine(EngineConfig(workers=1)).run(jobs)
+        del tasks[:]
+        engine = SweepEngine(
+            EngineConfig(workers=2, retries=0), runner=_die_in_pool_on_pid
+        )
+        events = []
+        engine.telemetry.add_listener(events.append)
+        outcomes = engine.run(jobs)
+        assert len(tasks[0]) == len(tasks[1]) == 3  # whole groups went out
+        # a worker died at a group's second job: no task came home, every
+        # job ran again in-process, and a lost attempt is no attempt
+        (lost,) = [e for e in events if e.kind == tm.POOL_UNAVAILABLE]
+        assert lost.data["remaining_jobs"] == len(jobs)
+        assert [(o.ok, o.attempts) for o in outcomes] == [(True, 1)] * len(jobs)
+        assert [result_to_dict(o.result) for o in outcomes] == [
+            result_to_dict(o.result) for o in serial
+        ]
+
+    def test_drain_mid_group_cancels_its_unstarted_jobs(self):
+        # gzip's two quick jobs come home first; the drain then finds the
+        # adpcm-encode group in its first 0.2 s job
+        jobs = _grid(("gzip",), ("full-speed", "adaptive")) + _grid(
+            ("adpcm-encode", "swim"), ("full-speed", "adaptive", "pid", "attack-decay")
+        )
+        engine = SweepEngine(
+            EngineConfig(workers=2, retries=0), runner=_nap_unless_gzip
+        )
+
+        def drain_at_first_finish(event):
+            if event.kind == tm.JOB_FINISHED:
+                engine.request_shutdown()
+
+        engine.telemetry.add_listener(drain_at_first_finish)
+        outcomes = engine.run(jobs)
+        counters = engine.telemetry.counters
+        started = counters[tm.JOB_STARTED]
+        assert started == (
+            counters[tm.JOB_FINISHED] + counters[tm.JOB_FAILED]
+            + counters[tm.JOB_RETRIED]
+        )
+        assert started + counters[tm.JOB_CANCELLED] == len(jobs)
+        assert [o.ok for o in outcomes[:2]] == [True, True]
+        # the group in progress stopped before its next job
+        adpcm = [o.ok for o in outcomes[2:6]]
+        assert adpcm[0] and not adpcm[-1]
+        assert adpcm == sorted(adpcm, reverse=True)  # run, then cancelled
+        assert all(
+            "cancelled" in o.error for o in outcomes if not o.ok
+        )
+        assert engine.shutdown_requested
 
 
 class TestEngineReuse:

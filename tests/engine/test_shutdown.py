@@ -109,6 +109,37 @@ class TestSerialDrain:
         cached = fresh.run([outcomes[0].job])
         assert cached[0].from_cache
 
+    def test_a_drain_applies_to_one_run(self):
+        engine = SweepEngine(EngineConfig(workers=1))
+        calls = {"n": 0}
+
+        def runner(job):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                engine.request_shutdown()
+            from repro.engine.jobs import run_job
+
+            return run_job(job)
+
+        engine.runner = runner
+        drained = engine.run(make_jobs(3))
+        assert [o.ok for o in drained] == [True, False, False]
+        # still true once the drained run returned: the sweep CLI's exit
+        # code reads it
+        assert engine.shutdown_requested
+        again = engine.run(make_jobs(3))
+        assert all(o.ok for o in again)
+        assert engine.telemetry.summary()["cancelled"] == 0
+        assert not engine.shutdown_requested
+
+    def test_a_drain_between_runs_applies_to_the_next(self):
+        engine = SweepEngine(EngineConfig(workers=1))
+        engine.request_shutdown()
+        assert not any(o.ok for o in engine.run(make_jobs(2)))
+        engine.request_shutdown()
+        assert not any(o.ok for o in engine.run(make_jobs(2)))
+        assert all(o.ok for o in engine.run(make_jobs(2)))
+
     def test_request_shutdown_is_idempotent(self):
         engine = SweepEngine(EngineConfig())
         events = []
