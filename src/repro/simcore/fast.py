@@ -30,29 +30,35 @@ purely from how the same arithmetic is dispatched, never from changing it:
   issue scan reuses one buffer, and history appends go through pre-bound
   methods; the only dict built per sample is the probe-emission payload, and
   only when the observability layer is attached;
+* **jitter tapes** -- an edge's jitter is its clock's next value on a
+  per-process tape of what the clock generator's ``Random.gauss`` calls
+  return from its state at the start of the run
+  (:mod:`repro.simcore.tapes`), so the runs of one seed compute each clock's
+  jitter once;
 * **parked clocks** -- a clock whose next edges can only spin (an issue
   queue waiting on a producer that has not issued, a front end behind an
   unissued mispredicted branch or done dispatching the trace) leaves the
-  heap; a tight loop before each pop replays its owed edges until a
-  completion, a dispatch, its time bound or a relock pause puts it back.
+  heap, and its owed edges are replayed only when something reads or changes
+  what they touch: its time bound, a completion, a dispatch to it, a slew, a
+  relock pause or a probe emission.
 
 The bit-identical contract imposes hard rules on every edit here: float
 expressions must keep the reference's operand order and association
-(``(leak + gated) * dt`` is not ``leak*dt + gated*dt``); the inlined
-``Random.gauss`` must keep the reference's draw count and order per clock
-and hand its cached second variate (``gauss_next``) back to the clock's rng;
-and events must pop in the reference's ``(time, tag)`` order.  Heap pushes
-keep the reference's relative order, so sequence numbers still break ties
-between equal ``(time, tag)`` entries as the reference's do; parked clocks
-push fewer events, so the final ``seq`` is lower than the reference's.
-Golden-equivalence tests in ``tests/simcore/`` enforce the contract for
-every controller style.
+(``(leak + gated) * dt`` is not ``leak*dt + gated*dt``); each clock must
+read its tape in the reference's draw order, one value per edge, and leave
+its generator where as many ``Random.gauss`` calls would
+(``tapes.advance``); and events must pop in the reference's ``(time, tag)``
+order.  A clock has at most one edge on the heap, so sequence numbers only
+break ties between a domain's wake timers, which are pushed in the
+reference's order; parked clocks push fewer events, so the final ``seq`` is
+lower than the reference's.  Golden-equivalence tests in ``tests/simcore/``
+enforce the contract for every controller style.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from math import ceil, cos, log, pi, sin, sqrt
+from math import ceil, nextafter
 from time import perf_counter
 from typing import Optional
 
@@ -72,11 +78,10 @@ from repro.mcd.queues import QueueEntry
 from repro.mcd.rob import RobEntry
 from repro.simcore.markers import hot_path
 from repro.simcore.tables import tables_for
+from repro.simcore.tapes import advance, tape_for
 from repro.workloads.instructions import InstructionKind as K
 
 _INF = float("inf")
-#: ``random.TWOPI``, the constant ``Random.gauss`` scales its first draw by
-_TWOPI = 2.0 * pi
 
 #: kinds served by the muldiv pool (mirrors ExecutionDomain._pool_for)
 _MULDIV_KINDS = frozenset({K.INT_MUL, K.INT_DIV, K.FP_MUL, K.FP_DIV, K.FP_SQRT})
@@ -95,6 +100,50 @@ _KIND_ROWS = {
     )
     for kind in K
 }
+
+
+@hot_path
+def _catch_up(clk: tuple, tag: int, stop: float) -> None:
+    """Replay parked clock ``tag``'s owed edges before time ``stop``.
+
+    Each replayed edge is the reference's spinning edge: ``clock.advance()``
+    (the clock's next tape value, its clamp, the next edge's time) and the
+    gated-energy add.  Both use the period and gated energy in force, which
+    only a slewing sample tick moves, and it catches the clock up first.
+    ``clk`` is ``run()``'s per-tag state: ``(next_edge, periods, neg04,
+    pos04, ge, ebt, tapes, tpos)``, ``tapes`` ``None`` without jitter.
+    """
+    next_edge, periods, neg04, pos04, ge, ebt, tapes, tpos = clk
+    e = next_edge[tag]
+    if e >= stop:
+        return
+    per = periods[tag]
+    g = ge[tag]
+    acc = ebt[tag]
+    if tapes is None:
+        while e < stop:
+            e = e + per
+            acc += g
+    else:
+        values = tapes[tag].values
+        lo = neg04[tag]
+        hi = pos04[tag]
+        k = tpos[tag]
+        while e < stop:
+            try:
+                j = values[k]
+            except IndexError:
+                j = tapes[tag].at(k)
+            k += 1
+            if j < lo:
+                j = lo
+            elif j > hi:
+                j = hi
+            e = e + per + j
+            acc += g
+        tpos[tag] = k
+    next_edge[tag] = e
+    ebt[tag] = acc
 
 
 class FastMCDProcessor(MCDProcessor):
@@ -216,10 +265,14 @@ class FastMCDProcessor(MCDProcessor):
             self.clocks[DomainId.LS],
         ]
         sigma = cfg.jitter_sigma_ns
-        # Random.gauss, inlined: each clock's uniform source plus its cached
-        # second variate, written back to the clock's rng at loop end
-        rand = [c._rng.random for c in clocks]
-        gauss_next = [c._rng.gauss_next for c in clocks]
+        # Jitter: clock tag's k-th edge adds tvals[tag][k], what the k-th
+        # Random.gauss call on its generator returns from the generator's
+        # state now, read from the clock's interned tape.  tpos[tag] counts
+        # the values used, and the generator moves on by as many draws at
+        # loop end.  Without jitter the reference draws nothing.
+        tapes = [tape_for(c._rng, sigma) for c in clocks] if sigma else None
+        tvals = [tape.values for tape in tapes] if tapes else None
+        tpos = [0, 0, 0, 0]
         freqs = [c._freq_ghz for c in clocks]
         periods = [1.0 / f for f in freqs]
         neg04 = [-0.4 * p for p in periods]
@@ -342,13 +395,17 @@ class FastMCDProcessor(MCDProcessor):
         issued_buf = []
 
         # Parked clocks: a clock whose next edges can only spin keeps its
-        # owed edge in next_edge[tag], off the heap, until a completion, a
-        # dispatch, its bound or a relock pause (DESIGN §6d).  pk lists the
-        # parked tags, pk_bound[tag] the time from which a parked clock's
-        # edge may do work, pk_lim the least bound of any parked clock.
+        # owed edge in next_edge[tag], off the heap, and its owed edges are
+        # replayed (_catch_up) only when something reads or changes what
+        # they touch: its bound, a completion, a dispatch to it, a slew, a
+        # relock pause or a probe emission (DESIGN §6d item 6).  pk lists
+        # the parked tags, pk_bound[tag] the time from which a parked
+        # clock's edge may do work, pk_lim the least bound of any parked
+        # clock.
         pk = []
         pk_bound = [_INF, _INF, _INF, _INF]
         pk_lim = _INF
+        clk = (next_edge, periods, neg04, pos04, ge, ebt, tapes, tpos)
 
         # --- initial events (ref push order: FE, INT, FP, LS, sample) -----
         for tag in (0, 1, 2, 3):
@@ -364,115 +421,249 @@ class FastMCDProcessor(MCDProcessor):
         time_ns = self._now
 
         while fe_next < trace_len or rob_entries:
-            if pk:
+            if heap[0][0] >= pk_lim:
                 # ======================================================
-                # replay parked clocks' owed edges that come before the
-                # heap top in (time, tag) order and before every parked
-                # bound: each is the reference's spinning edge (clock
-                # advance, gated energy, FE finish_ns) without the heap
+                # unpark at a bound: the parked clock with the least bound
+                # may do work from its bound on.  Replay its owed edges
+                # before the bound, put its next edge on the heap and look
+                # again.  Only the least bound goes: its edges may write
+                # completions, which a later-bound clock must meet parked.
                 # ======================================================
-                top = heap[0]
-                tt = top[0]
-                ttag = top[1]
-                stop = tt if tt < pk_lim else pk_lim
-                i = 0
-                while i < len(pk):
-                    ptag = pk[i]
-                    e = next_edge[ptag]
-                    # pause moves only at samples, which the heap holds, so
-                    # one check covers this block's (later) edges too
-                    if pause[ptag] <= e and (
-                        e < stop or (e == tt and ptag < ttag and e < pk_lim)
-                    ):
-                        per = periods[ptag]
-                        lo = neg04[ptag]
-                        hi = pos04[ptag]
-                        g = ge[ptag]
-                        acc = ebt[ptag]
-                        gn = gauss_next[ptag]
-                        rnd = rand[ptag]
-                        while True:
-                            last = e
-                            # ref: clock.advance()
-                            if sigma:
-                                z = gn
-                                if z is None:
-                                    x2pi = rnd() * _TWOPI
-                                    g2rad = sqrt(-2.0 * log(1.0 - rnd()))
-                                    z = cos(x2pi) * g2rad
-                                    gn = sin(x2pi) * g2rad
-                                else:
-                                    gn = None
-                                j = 0.0 + z * sigma
-                                if j < lo:
-                                    j = lo
-                                elif j > hi:
-                                    j = hi
-                                e = e + per + j
-                            else:
-                                e = e + per
-                            acc += g
-                            if not (
-                                e < stop or (e == tt and ptag < ttag and e < pk_lim)
-                            ):
-                                break
-                        ebt[ptag] = acc
-                        gauss_next[ptag] = gn
-                        next_edge[ptag] = e
-                        if not ptag:
-                            finish_ns = last
-                    if e >= pk_bound[ptag] or e < pause[ptag]:
-                        # this edge may do work: back on the heap, which can
-                        # move the heap top earlier, so start over
-                        del pk[i]
-                        seq += 1
-                        heappush(heap, (e, ptag, seq, 0))
-                        pk_lim = _INF
-                        for ptag in pk:
-                            if pk_bound[ptag] < pk_lim:
-                                pk_lim = pk_bound[ptag]
-                        top = heap[0]
-                        tt = top[0]
-                        ttag = top[1]
-                        stop = tt if tt < pk_lim else pk_lim
-                        i = 0
-                    else:
-                        i += 1
+                for ptag in pk:
+                    if pk_bound[ptag] == pk_lim:
+                        break
+                _catch_up(clk, ptag, pk_lim)
+                pk.remove(ptag)
+                seq += 1
+                heappush(heap, (next_edge[ptag], ptag, seq, 0))
+                pk_lim = _INF
+                for ptag in pk:
+                    if pk_bound[ptag] < pk_lim:
+                        pk_lim = pk_bound[ptag]
+                continue
             ev = heappop(heap)
             time_ns = ev[0]
             tag = ev[1]
             if time_ns > max_time_ns:
+                for tape in tapes or ():
+                    tape.trim()
                 raise RuntimeError(
                     f"simulation exceeded max_time_ns={max_time_ns:.0f} "
                     f"({rob.retired}/{trace_len} retired)"
                 )
 
-            if tag < 3:
-                if tag:
+            if tag < 4:
+                # ======================================================
+                # a clock edge.  ref: clock.advance(), whose jitter is the
+                # clock's next tape value
+                # ======================================================
+                per = periods[tag]
+                if sigma:
+                    k = tpos[tag]
+                    try:
+                        j = tvals[tag][k]
+                    except IndexError:
+                        j = tapes[tag].at(k)
+                    tpos[tag] = k + 1
+                    if j < neg04[tag]:
+                        j = neg04[tag]
+                    elif j > pos04[tag]:
+                        j = pos04[tag]
+                    next_edge[tag] = time_ns + per + j
+                else:
+                    next_edge[tag] = time_ns + per
+                if tag == 3:
+                    # ==================================================
+                    # LS-domain edge (ref: _domain_cycle + LoadStoreDomain)
+                    # ==================================================
+                    if time_ns < pause[3]:
+                        ebt[3] += ge[3]
+                        sleeping[3] = True
+                        pu = pause[3]
+                        timer_target[3] = pu
+                        wake_gen[3] = g = wake_gen[3] + 1
+                        seq += 1
+                        heappush(heap, (pu, 7, seq, g))
+                        continue
+                    entries = entries_by_tag[3]
+                    width = width_by_tag[3]
+                    issued = 0
+                    for entry in entries:
+                        if issued >= width:
+                            break
+                        if entry.visible_ns > time_ns:
+                            continue
+                        inst = entry.instruction
+                        s1 = inst.src1
+                        if s1 is not None:
+                            d = completion_get(s1)
+                            if d is None or d > time_ns:
+                                continue
+                        s2 = inst.src2
+                        if s2 is not None:
+                            d = completion_get(s2)
+                            if d is None or d > time_ns:
+                                continue
+                        idx = inst.index
+                        storing = store_arr[idx]
+                        if storing:
+                            # ref: store_buffer.can_accept (evict then test)
+                            while sb_drains and sb_drains[0] <= time_ns:
+                                sb_popleft()
+                            if len(sb_drains) >= sb_cap:
+                                sb.full_stalls += 1
+                                continue
+                        # ref: _ports.acquire(now, period); on failure: break
+                        i = 0
+                        nb = len(ls_ports)
+                        while i < nb:
+                            if ls_ports[i] <= time_ns:
+                                ls_ports[i] = time_ns + per
+                                break
+                            i += 1
+                        else:
+                            break  # both cache ports taken this cycle
+                        # ref: _access_latency
+                        if not l1d_access(inst.addr):
+                            l2_hit = l2_access(inst.addr)
+                            if not l2_hit:
+                                hier.memory_accesses += 1
+                            cycles = l1_hit_cycles + l2_hit_cycles
+                            fixed = 0.0 if l2_hit else mem_lat_ns
+                        else:
+                            cycles = l1_hit_cycles
+                            fixed = 0.0
+                        full_path = per + cycles * per + fixed
+                        if storing:
+                            dom_ls.stores += 1
+                            latency_ns = per + l1w_cycles * per
+                            # ref: store_buffer.push(now, now + full_path)
+                            while sb_drains and sb_drains[0] <= time_ns:
+                                sb_popleft()
+                            dd = time_ns + full_path
+                            if sb_drains and dd < sb_drains[-1]:
+                                dd = sb_drains[-1]
+                            sb_drains.append(dd)
+                            sb.total_stores += 1
+                        else:
+                            dom_ls.loads += 1
+                            latency_ns = full_path
+                        done_ns = time_ns + latency_ns
+                        completion[idx] = done_ns
+                        rentry = rob_by_index.get(idx)
+                        if rentry is not None:
+                            rentry.done_ns = done_ns
+                            if (
+                                fe_sleeping
+                                and rob_entries
+                                and rob_entries[0] is rentry
+                            ):
+                                wake_ns = done_ns if done_ns > time_ns else time_ns
+                                fe_sleeping = False
+                                ne0 = next_edge[0]
+                                if wake_ns > ne0:
+                                    next_edge[0] = ne0 + ceil(
+                                        (wake_ns - ne0) / fe_period
+                                    ) * fe_period
+                                seq += 1
+                                heappush(heap, (next_edge[0], 0, seq, 0))
+                        issued_buf.append(entry)
+                        issued += 1
+                    if issued:
+                        qcap = qcap_by_tag[3]
+                        for entry in issued_buf:
+                            was_full = len(entries) >= qcap
+                            k = 0
+                            while entries[k] is not entry:
+                                k += 1
+                            del entries[k]
+                            if was_full and fe_sleeping:
+                                fe_sleeping = False
+                                ne0 = next_edge[0]
+                                if time_ns > ne0:
+                                    next_edge[0] = ne0 + ceil(
+                                        (time_ns - ne0) / fe_period
+                                    ) * fe_period
+                                seq += 1
+                                heappush(heap, (next_edge[0], 0, seq, 0))
+                        del issued_buf[:]
+                        dom_ls.issued += issued
+                        utilization = issued * iw[3]
+                        if utilization > 1.0:
+                            utilization = 1.0
+                        ebt[3] += abe[3] + ase[3] * utilization
+                        if pk:
+                            # new completions: every parked clock may move.
+                            # Catch each up to this edge (an edge at this
+                            # time pops first if its tag is lower) and put
+                            # its next edge on the heap
+                            tie = nextafter(time_ns, _INF)
+                            for ptag in pk:
+                                _catch_up(clk, ptag, tie if ptag < tag else time_ns)
+                                seq += 1
+                                heappush(heap, (next_edge[ptag], ptag, seq, 0))
+                            del pk[:]
+                            pk_lim = _INF
+                    else:
+                        ebt[3] += ge[3]
+                        if not entries and max(ls_ports) <= time_ns:
+                            sleeping[3] = True
+                            timer_target[3] = None
+                            wake_gen[3] += 1
+                            continue
+                        best = _INF
+                        unknown = False
+                        for entry in entries:
+                            v = entry.visible_ns
+                            if v > time_ns:
+                                if v < best:
+                                    best = v
+                                continue
+                            ready = v
+                            inst = entry.instruction
+                            s1 = inst.src1
+                            if s1 is not None:
+                                d = completion_get(s1)
+                                if d is None:
+                                    unknown = True
+                                    continue
+                                if d > ready:
+                                    ready = d
+                            s2 = inst.src2
+                            if s2 is not None:
+                                d = completion_get(s2)
+                                if d is None:
+                                    unknown = True
+                                    continue
+                                if d > ready:
+                                    ready = d
+                            if ready <= time_ns:
+                                break  # issuable but port/store-buffer-blocked
+                            if ready < best:
+                                best = ready
+                        else:
+                            if unknown:
+                                if best > max_time_ns:
+                                    best = max_time_ns
+                                if best > next_edge[3]:
+                                    pk.append(3)
+                                    pk_bound[3] = best
+                                    if best < pk_lim:
+                                        pk_lim = best
+                                    continue
+                            elif best != _INF and best > time_ns + 2.0 * per:
+                                sleeping[3] = True
+                                timer_target[3] = best
+                                wake_gen[3] = g = wake_gen[3] + 1
+                                seq += 1
+                                heappush(heap, (best, 7, seq, g))
+                                continue
+                    seq += 1
+                    heappush(heap, (next_edge[3], 3, seq, 0))
+                elif tag:
                     # ==================================================
                     # INT / FP execution-domain edge (ref: _domain_cycle)
                     # ==================================================
-                    per = periods[tag]
-                    # ref: clock.advance()
-                    if sigma:
-                        z = gauss_next[tag]
-                        if z is None:
-                            x2pi = rand[tag]() * _TWOPI
-                            g2rad = sqrt(-2.0 * log(1.0 - rand[tag]()))
-                            z = cos(x2pi) * g2rad
-                            gauss_next[tag] = sin(x2pi) * g2rad
-                        else:
-                            gauss_next[tag] = None
-                        j = 0.0 + z * sigma
-                        lo = neg04[tag]
-                        hi = pos04[tag]
-                        if j < lo:
-                            j = lo
-                        elif j > hi:
-                            j = hi
-                        next_edge[tag] = time_ns + per + j
-                    else:
-                        next_edge[tag] = time_ns + per
                     if time_ns < pause[tag]:
                         # Transmeta-style relock idle: gated + timer sleep
                         ebt[tag] += ge[tag]
@@ -561,8 +752,13 @@ class FastMCDProcessor(MCDProcessor):
                             utilization = 1.0
                         ebt[tag] += abe[tag] + ase[tag] * utilization
                         if pk:
-                            # new completions: every parked clock may move
+                            # new completions: every parked clock may move.
+                            # Catch each up to this edge (an edge at this
+                            # time pops first if its tag is lower) and put
+                            # its next edge on the heap
+                            tie = nextafter(time_ns, _INF)
                             for ptag in pk:
+                                _catch_up(clk, ptag, tie if ptag < tag else time_ns)
                                 seq += 1
                                 heappush(heap, (next_edge[ptag], ptag, seq, 0))
                             del pk[:]
@@ -618,15 +814,17 @@ class FastMCDProcessor(MCDProcessor):
                         else:
                             if unknown:
                                 # no entry can pass the issue checks before
-                                # `best` without a new completion: park
-                                pk.append(tag)
+                                # `best` without a new completion: park,
+                                # unless the next edge is already that late
                                 if best > max_time_ns:
                                     best = max_time_ns
-                                pk_bound[tag] = best
-                                if best < pk_lim:
-                                    pk_lim = best
-                                continue
-                            if best != _INF and best > time_ns + 2.0 * per:
+                                if best > next_edge[tag]:
+                                    pk.append(tag)
+                                    pk_bound[tag] = best
+                                    if best < pk_lim:
+                                        pk_lim = best
+                                    continue
+                            elif best != _INF and best > time_ns + 2.0 * per:
                                 sleeping[tag] = True
                                 timer_target[tag] = best
                                 wake_gen[tag] = g = wake_gen[tag] + 1
@@ -639,26 +837,6 @@ class FastMCDProcessor(MCDProcessor):
                     # ==================================================
                     # front-end edge (ref: _front_end_cycle)
                     # ==================================================
-                    # ref: clock.advance()
-                    if sigma:
-                        z = gauss_next[0]
-                        if z is None:
-                            x2pi = rand[0]() * _TWOPI
-                            g2rad = sqrt(-2.0 * log(1.0 - rand[0]()))
-                            z = cos(x2pi) * g2rad
-                            gauss_next[0] = sin(x2pi) * g2rad
-                        else:
-                            gauss_next[0] = None
-                        j = 0.0 + z * sigma
-                        lo = neg04[0]
-                        hi = pos04[0]
-                        if j < lo:
-                            j = lo
-                        elif j > hi:
-                            j = hi
-                        next_edge[0] = time_ns + fe_period + j
-                    else:
-                        next_edge[0] = time_ns + fe_period
                     # ref: rob.retire(now, retire_width)
                     retired_now = 0
                     while retired_now < retire_width and rob_entries:
@@ -727,6 +905,19 @@ class FastMCDProcessor(MCDProcessor):
                             rob_by_index[idx] = rentry
                             # ref: sync.arrival_time(now + period, dst_clock)
                             t_ready = time_ns + fe_period
+                            if pk and dtag in pk:
+                                # a parked domain gets work: catch its clock
+                                # up to now for the arithmetic below, which
+                                # reads its next edge, and put that edge on
+                                # the heap
+                                _catch_up(clk, dtag, time_ns)
+                                pk.remove(dtag)
+                                seq += 1
+                                heappush(heap, (next_edge[dtag], dtag, seq, 0))
+                                pk_lim = _INF
+                                for ptag in pk:
+                                    if pk_bound[ptag] < pk_lim:
+                                        pk_lim = pk_bound[ptag]
                             ne = next_edge[dtag]
                             per = periods[dtag]
                             if t_ready <= ne:
@@ -758,16 +949,6 @@ class FastMCDProcessor(MCDProcessor):
                                     next_edge[dtag] = ne
                                 seq += 1
                                 heappush(heap, (next_edge[dtag], dtag, seq, 0))
-                            elif pk and dtag in pk:
-                                # a parked domain got work: its owed edge
-                                # (already caught up to now) goes back on
-                                pk.remove(dtag)
-                                seq += 1
-                                heappush(heap, (ne, dtag, seq, 0))
-                                pk_lim = _INF
-                                for ptag in pk:
-                                    if pk_bound[ptag] < pk_lim:
-                                        pk_lim = pk_bound[ptag]
                             fe_next += 1
                             dispatched += 1
                             if branch_arr[idx]:
@@ -821,7 +1002,10 @@ class FastMCDProcessor(MCDProcessor):
                                 heappush(heap, (next_edge[0], 0, seq, 0))
                             elif fe_last_stall == "queue_full" or fe_last_stall == "rob_full":
                                 fe_sleeping = True
-                            elif not retired_now:
+                            elif (
+                                not retired_now
+                                and rob_entries[0].done_ns > next_edge[0]
+                            ):
                                 # no hint and nothing retired: the whole
                                 # trace is dispatched, or the front end is
                                 # behind an unissued mispredicted branch.
@@ -841,203 +1025,6 @@ class FastMCDProcessor(MCDProcessor):
                             seq += 1
                             heappush(heap, (next_edge[0], 0, seq, 0))
                     finish_ns = time_ns
-            elif tag == 3:
-                # ======================================================
-                # LS-domain edge (ref: _domain_cycle + LoadStoreDomain)
-                # ======================================================
-                per = periods[3]
-                if sigma:
-                    z = gauss_next[3]
-                    if z is None:
-                        x2pi = rand[3]() * _TWOPI
-                        g2rad = sqrt(-2.0 * log(1.0 - rand[3]()))
-                        z = cos(x2pi) * g2rad
-                        gauss_next[3] = sin(x2pi) * g2rad
-                    else:
-                        gauss_next[3] = None
-                    j = 0.0 + z * sigma
-                    lo = neg04[3]
-                    hi = pos04[3]
-                    if j < lo:
-                        j = lo
-                    elif j > hi:
-                        j = hi
-                    next_edge[3] = time_ns + per + j
-                else:
-                    next_edge[3] = time_ns + per
-                if time_ns < pause[3]:
-                    ebt[3] += ge[3]
-                    sleeping[3] = True
-                    pu = pause[3]
-                    timer_target[3] = pu
-                    wake_gen[3] = g = wake_gen[3] + 1
-                    seq += 1
-                    heappush(heap, (pu, 7, seq, g))
-                    continue
-                entries = entries_by_tag[3]
-                width = width_by_tag[3]
-                issued = 0
-                for entry in entries:
-                    if issued >= width:
-                        break
-                    if entry.visible_ns > time_ns:
-                        continue
-                    inst = entry.instruction
-                    s1 = inst.src1
-                    if s1 is not None:
-                        d = completion_get(s1)
-                        if d is None or d > time_ns:
-                            continue
-                    s2 = inst.src2
-                    if s2 is not None:
-                        d = completion_get(s2)
-                        if d is None or d > time_ns:
-                            continue
-                    idx = inst.index
-                    storing = store_arr[idx]
-                    if storing:
-                        # ref: store_buffer.can_accept (evict then test)
-                        while sb_drains and sb_drains[0] <= time_ns:
-                            sb_popleft()
-                        if len(sb_drains) >= sb_cap:
-                            sb.full_stalls += 1
-                            continue
-                    # ref: _ports.acquire(now, period); on failure: break
-                    i = 0
-                    nb = len(ls_ports)
-                    while i < nb:
-                        if ls_ports[i] <= time_ns:
-                            ls_ports[i] = time_ns + per
-                            break
-                        i += 1
-                    else:
-                        break  # both cache ports taken this cycle
-                    # ref: _access_latency
-                    if not l1d_access(inst.addr):
-                        l2_hit = l2_access(inst.addr)
-                        if not l2_hit:
-                            hier.memory_accesses += 1
-                        cycles = l1_hit_cycles + l2_hit_cycles
-                        fixed = 0.0 if l2_hit else mem_lat_ns
-                    else:
-                        cycles = l1_hit_cycles
-                        fixed = 0.0
-                    full_path = per + cycles * per + fixed
-                    if storing:
-                        dom_ls.stores += 1
-                        latency_ns = per + l1w_cycles * per
-                        # ref: store_buffer.push(now, now + full_path)
-                        while sb_drains and sb_drains[0] <= time_ns:
-                            sb_popleft()
-                        dd = time_ns + full_path
-                        if sb_drains and dd < sb_drains[-1]:
-                            dd = sb_drains[-1]
-                        sb_drains.append(dd)
-                        sb.total_stores += 1
-                    else:
-                        dom_ls.loads += 1
-                        latency_ns = full_path
-                    done_ns = time_ns + latency_ns
-                    completion[idx] = done_ns
-                    rentry = rob_by_index.get(idx)
-                    if rentry is not None:
-                        rentry.done_ns = done_ns
-                        if fe_sleeping and rob_entries and rob_entries[0] is rentry:
-                            wake_ns = done_ns if done_ns > time_ns else time_ns
-                            fe_sleeping = False
-                            ne0 = next_edge[0]
-                            if wake_ns > ne0:
-                                next_edge[0] = ne0 + ceil(
-                                    (wake_ns - ne0) / fe_period
-                                ) * fe_period
-                            seq += 1
-                            heappush(heap, (next_edge[0], 0, seq, 0))
-                    issued_buf.append(entry)
-                    issued += 1
-                if issued:
-                    qcap = qcap_by_tag[3]
-                    for entry in issued_buf:
-                        was_full = len(entries) >= qcap
-                        k = 0
-                        while entries[k] is not entry:
-                            k += 1
-                        del entries[k]
-                        if was_full and fe_sleeping:
-                            fe_sleeping = False
-                            ne0 = next_edge[0]
-                            if time_ns > ne0:
-                                next_edge[0] = ne0 + ceil(
-                                    (time_ns - ne0) / fe_period
-                                ) * fe_period
-                            seq += 1
-                            heappush(heap, (next_edge[0], 0, seq, 0))
-                    del issued_buf[:]
-                    dom_ls.issued += issued
-                    utilization = issued * iw[3]
-                    if utilization > 1.0:
-                        utilization = 1.0
-                    ebt[3] += abe[3] + ase[3] * utilization
-                    if pk:
-                        for ptag in pk:
-                            seq += 1
-                            heappush(heap, (next_edge[ptag], ptag, seq, 0))
-                        del pk[:]
-                        pk_lim = _INF
-                else:
-                    ebt[3] += ge[3]
-                    if not entries and max(ls_ports) <= time_ns:
-                        sleeping[3] = True
-                        timer_target[3] = None
-                        wake_gen[3] += 1
-                        continue
-                    best = _INF
-                    unknown = False
-                    for entry in entries:
-                        v = entry.visible_ns
-                        if v > time_ns:
-                            if v < best:
-                                best = v
-                            continue
-                        ready = v
-                        inst = entry.instruction
-                        s1 = inst.src1
-                        if s1 is not None:
-                            d = completion_get(s1)
-                            if d is None:
-                                unknown = True
-                                continue
-                            if d > ready:
-                                ready = d
-                        s2 = inst.src2
-                        if s2 is not None:
-                            d = completion_get(s2)
-                            if d is None:
-                                unknown = True
-                                continue
-                            if d > ready:
-                                ready = d
-                        if ready <= time_ns:
-                            break  # issuable but port/store-buffer-blocked
-                        if ready < best:
-                            best = ready
-                    else:
-                        if unknown:
-                            pk.append(3)
-                            if best > max_time_ns:
-                                best = max_time_ns
-                            pk_bound[3] = best
-                            if best < pk_lim:
-                                pk_lim = best
-                            continue
-                        if best != _INF and best > time_ns + 2.0 * per:
-                            sleeping[3] = True
-                            timer_target[3] = best
-                            wake_gen[3] = g = wake_gen[3] + 1
-                            seq += 1
-                            heappush(heap, (best, 7, seq, g))
-                            continue
-                seq += 1
-                heappush(heap, (next_edge[3], 3, seq, 0))
             elif tag == 4:
                 # ======================================================
                 # sample tick (ref: _sample, 4 profiled phases)
@@ -1067,6 +1054,19 @@ class FastMCDProcessor(MCDProcessor):
                     command = ctrl.observe(time_ns, occs[dtag], reg._current_ghz)
                     if command is not None:
                         apply_command(time_ns, denum, reg, command)
+                        if pause[dtag] > time_ns and dtag in pk:
+                            # a relock pause: the parked domain's next edge
+                            # does work (gated idle, a wake timer) if it
+                            # falls inside it
+                            _catch_up(clk, dtag, nextafter(time_ns, _INF))
+                            if next_edge[dtag] < pause[dtag]:
+                                pk.remove(dtag)
+                                seq += 1
+                                heappush(heap, (next_edge[dtag], dtag, seq, 0))
+                                pk_lim = _INF
+                                for ptag in pk:
+                                    if pk_bound[ptag] < pk_lim:
+                                        pk_lim = pk_bound[ptag]
                 if prof is not None:
                     t2 = perf_counter()  # statcheck: disable=DET002 -- profiling only
                     prof_add("observe", t2 - t1)
@@ -1075,6 +1075,10 @@ class FastMCDProcessor(MCDProcessor):
                     cur = reg._current_ghz
                     tgt = reg._target_ghz
                     if tgt != cur:
+                        if dtag in pk:
+                            # its owed edges run at the period and gated
+                            # energy that this tick moves
+                            _catch_up(clk, dtag, nextafter(time_ns, _INF))
                         # ref: regulator.advance(dt) -- the same floats;
                         # max/min/abs become comparisons (ties give the
                         # same float)
@@ -1128,7 +1132,11 @@ class FastMCDProcessor(MCDProcessor):
                     # Probe emission is the one sample path allowed to
                     # allocate: it only runs with the observability layer
                     # attached, and _emit_samples expects the reference's
-                    # enum-keyed occupancy mapping.
+                    # enum-keyed occupancy mapping.  It reads each
+                    # domain's energy, which parked clocks owe up to now.
+                    tie = nextafter(time_ns, _INF)
+                    for ptag in pk:
+                        _catch_up(clk, ptag, tie)
                     for denum, dtag in edge_tags:
                         bd[denum] = bg_e[dtag]
                     emit_samples(
@@ -1156,9 +1164,9 @@ class FastMCDProcessor(MCDProcessor):
                     heappush(heap, (next_edge[dtag], dtag, seq, 0))
 
         # --- write locals back into object state ----------------------
-        # no clock is parked here: the loop ends on a popped front-end
-        # edge, and a parked domain's queue would still hold an unissued,
-        # hence unretired, instruction (DESIGN §6d item 6)
+        # no clock is parked here, so none owes an edge: the loop ends on a
+        # popped front-end edge, and a parked domain's queue would still
+        # hold an unissued, hence unretired, instruction (DESIGN §6d item 6)
         for denum, tag in edge_tags:
             bd[denum] = bg_e[tag]
         self._seq = seq
@@ -1176,7 +1184,11 @@ class FastMCDProcessor(MCDProcessor):
             clock = clocks[tag]
             clock._freq_ghz = freqs[tag]
             clock._next_edge_ns = next_edge[tag]
-            clock._rng.gauss_next = gauss_next[tag]
+        if tapes:
+            for tag in (0, 1, 2, 3):
+                tape = tapes[tag]
+                advance(clocks[tag]._rng, tape.start, tpos[tag])
+                tape.trim()
         for domain, tag in exec_tags:
             self._sleeping[domain] = sleeping[tag]
             self._timer_target[domain] = timer_target[tag]

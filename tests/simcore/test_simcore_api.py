@@ -1,4 +1,4 @@
-"""Unit tests for the simcore package API: selection and tables."""
+"""Unit tests for the simcore package API: selection, tables and tapes."""
 
 from __future__ import annotations
 
@@ -246,6 +246,153 @@ def mid_slew_frequency():
             if abs(steps - round(steps)) > 1e-3:
                 return freq
     raise AssertionError("the run never slewed")
+
+
+def _gauss_states():
+    """A fresh generator state and one that caches a second variate."""
+    import random
+
+    fresh = random.Random(7)
+    cached = random.Random(7)
+    cached.gauss()
+    assert fresh.getstate()[2] is None and cached.getstate()[2] is not None
+    return {"fresh": fresh.getstate(), "cached": cached.getstate()}
+
+
+class TestJitterTapes:
+    SIGMA = 0.01
+
+    @pytest.mark.parametrize("which", ["fresh", "cached"])
+    def test_values_are_the_gauss_calls(self, which):
+        """A tape holds what successive gauss(0.0, sigma) calls return from
+        its start state, across chunk boundaries, bit for bit."""
+        import random
+
+        from repro.simcore.tapes import CHUNK_VALUES, JitterTape
+
+        start = _gauss_states()[which]
+        count = 3 * CHUNK_VALUES + 5
+        reference = random.Random()
+        reference.setstate(start)
+        expected = [reference.gauss(0.0, self.SIGMA) for _ in range(count)]
+        tape = JitterTape(start, self.SIGMA)
+        assert tape.at(count - 1) == expected[-1]
+        assert [x.hex() for x in tape.values[:count]] == [x.hex() for x in expected]
+
+    # a small skip makes advance split its getrandbits calls
+    @pytest.mark.parametrize("skip", [None, 7], ids=["default-skip", "skip7"])
+    @pytest.mark.parametrize("which", ["fresh", "cached"])
+    def test_advance_leaves_the_state_of_as_many_gauss_calls(
+        self, monkeypatch, which, skip
+    ):
+        import random
+
+        import repro.simcore.tapes as tapes_module
+        from repro.simcore.tapes import CHUNK_VALUES, advance
+
+        if skip is not None:
+            monkeypatch.setattr(tapes_module, "_SKIP_PAIRS", skip)
+        start = _gauss_states()[which]
+        reference = random.Random()
+        reference.setstate(start)
+        moved = random.Random()
+        for count in range(3 * CHUNK_VALUES + 2):
+            advance(moved, start, count)
+            assert moved.getstate() == reference.getstate(), count
+            reference.gauss(0.0, self.SIGMA)
+
+    def test_racing_threads_get_the_reference_sequence(self, monkeypatch):
+        """Serve's executor threads may share a tape: racing extensions and
+        trims may cost a recomputation, never a wrong value."""
+        import random
+        import sys
+        import threading
+
+        import repro.simcore.tapes as tapes_module
+        from repro.simcore.tapes import CHUNK_VALUES, JitterTape
+
+        start = _gauss_states()["cached"]
+        count = 4 * CHUNK_VALUES
+        reference = random.Random()
+        reference.setstate(start)
+        expected = [reference.gauss(0.0, self.SIGMA) for _ in range(count)]
+        # a finished run trims its tapes while others still read past the cap
+        monkeypatch.setattr(tapes_module, "MAX_VALUES_PER_TAPE", CHUNK_VALUES // 2)
+        shared = JitterTape(start, self.SIGMA)
+        got = {}
+
+        def reader(name):
+            values = shared.values
+            seen = []
+            for k in range(count):
+                # the run loop's read: index, and compute on a miss
+                try:
+                    seen.append(values[k])
+                except IndexError:
+                    seen.append(shared.at(k))
+                if k % 97 == 0:
+                    shared.trim()
+            got[name] = seen
+
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(got) == list(range(8))
+        for name, seen in got.items():
+            assert seen == expected, name
+
+    def test_kept_tapes_are_capped_and_exact(self, monkeypatch):
+        """Runs on distinct seeds leave at most MAX_TAPES tapes, none past
+        the per-tape cap, and a cap that trims mid-sweep changes no result."""
+        import repro.simcore.tapes as tapes_module
+        from repro.harness.experiment import run_experiment
+        from repro.simcore import assert_results_identical
+
+        run = dict(scheme="pid", max_instructions=60, simcore="fast")
+        monkeypatch.setattr(tapes_module, "_TAPES", {})
+        uncapped = [run_experiment("gzip", seed=seed, **run) for seed in (1, 2)]
+
+        cap = 100
+        monkeypatch.setattr(tapes_module, "_TAPES", {})
+        monkeypatch.setattr(tapes_module, "MAX_VALUES_PER_TAPE", cap)
+        for seed in range(1, 51):
+            result = run_experiment("gzip", seed=seed, **run)
+            if seed <= 2:
+                assert_results_identical(
+                    uncapped[seed - 1], result, context=f"seed {seed} capped"
+                )
+            assert len(tapes_module._TAPES) <= tapes_module.MAX_TAPES
+            assert all(len(t.values) <= cap for t in tapes_module._TAPES.values())
+        # a rerun reads the trimmed tapes and computes the rest again
+        for seed in (49, 50):
+            again = run_experiment("gzip", seed=seed, **run)
+            assert_results_identical(
+                run_experiment("gzip", seed=seed, **dict(run, simcore="ref")),
+                again,
+                context=f"seed {seed} from a trimmed tape",
+            )
+
+    def test_a_run_past_its_cutoff_trims_its_tapes(self, monkeypatch, tiny_benchmark):
+        import repro.simcore.tapes as tapes_module
+        from repro.workloads.generator import generate_trace
+
+        monkeypatch.setattr(tapes_module, "_TAPES", {})
+        monkeypatch.setattr(tapes_module, "MAX_VALUES_PER_TAPE", 10)
+        processor = create_processor(
+            trace=generate_trace(tiny_benchmark, seed=1), seed=1, simcore="fast"
+        )
+        with pytest.raises(RuntimeError, match="exceeded"):
+            processor.run(max_time_ns=100.0)
+        assert len(tapes_module._TAPES) == 4
+        assert all(len(t.values) <= 10 for t in tapes_module._TAPES.values())
 
 
 class TestCacheKeying:
