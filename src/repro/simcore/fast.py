@@ -42,6 +42,12 @@ purely from how the same arithmetic is dispatched, never from changing it:
   what they touch: its time bound, a completion, a dispatch to it, a slew, a
   relock pause or a probe emission.
 
+A run with no controllers and no observability also logs the INT, FP and LS
+occupancies each sample tick latches (``occupancy_log``, at most
+``MAX_LOGGED_TICKS`` ticks).  The harness replays a scheme's controllers over
+it, and a scheme that never commands is answered from this run's result
+instead of simulated (:func:`repro.harness.experiment.run_experiment`).
+
 The bit-identical contract imposes hard rules on every edit here: float
 expressions must keep the reference's operand order and association
 (``(leak + gated) * dt`` is not ``leak*dt + gated*dt``); each clock must
@@ -83,6 +89,12 @@ from repro.workloads.instructions import InstructionKind as K
 
 _INF = float("inf")
 
+#: a run with no controllers and no observability logs the occupancies its
+#: sample ticks latch, at most this many ticks (262 us at the 4 ns period);
+#: a longer run's log stops short, so its run answers no silent scheme
+#: (DESIGN §6d item 9)
+MAX_LOGGED_TICKS = 1 << 16
+
 #: kinds served by the muldiv pool (mirrors ExecutionDomain._pool_for)
 _MULDIV_KINDS = frozenset({K.INT_MUL, K.INT_DIV, K.FP_MUL, K.FP_DIV, K.FP_SQRT})
 #: kinds whose FU accepts a new op every cycle (mirrors execcore._PIPELINED)
@@ -112,11 +124,11 @@ def _catch_up(clk: tuple, tag: int, stop: float) -> None:
     only a slewing sample tick moves, and it catches the clock up first.
     ``clk`` is ``run()``'s per-tag state: ``(next_edge, periods, neg04,
     pos04, ge, ebt, tapes, tpos)``, ``tapes`` ``None`` without jitter.
+    Every caller first checks ``next_edge[tag] < stop``, so a call replays
+    at least one edge.
     """
     next_edge, periods, neg04, pos04, ge, ebt, tapes, tpos = clk
     e = next_edge[tag]
-    if e >= stop:
-        return
     per = periods[tag]
     g = ge[tag]
     acc = ebt[tag]
@@ -152,6 +164,10 @@ class FastMCDProcessor(MCDProcessor):
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)  # type: ignore[arg-type]
         self._tables = tables_for(self.config, self.power)
+        #: after a run without controllers or observability, the INT, FP and
+        #: LS occupancy each sample tick latched, in tick order; it ends
+        #: short of the run's ticks past MAX_LOGGED_TICKS
+        self.occupancy_log: Optional[list] = None
 
         # --- trace-parallel instruction arrays (index = inst.index) -------
         trace = self.trace
@@ -393,6 +409,12 @@ class FastMCDProcessor(MCDProcessor):
         # scratch buffers: the allocation-free sample and issue paths
         occs = [0, 0, 0, 0]
         issued_buf = []
+        # Without controllers or observability, each tick logs its latched
+        # INT, FP and LS occupancies (CONTROLLED_DOMAINS order), for up to
+        # MAX_LOGGED_TICKS ticks: what a scheme's controllers would observe
+        # on this trajectory (DESIGN §6d item 9)
+        log_left = MAX_LOGGED_TICKS if not ctrl_rows and self.obs is None else 0
+        occ_log = [] if log_left else None
 
         # Parked clocks: a clock whose next edges can only spin keeps its
         # owed edge in next_edge[tag], off the heap, and its owed edges are
@@ -432,7 +454,8 @@ class FastMCDProcessor(MCDProcessor):
                 for ptag in pk:
                     if pk_bound[ptag] == pk_lim:
                         break
-                _catch_up(clk, ptag, pk_lim)
+                if next_edge[ptag] < pk_lim:
+                    _catch_up(clk, ptag, pk_lim)
                 pk.remove(ptag)
                 seq += 1
                 heappush(heap, (next_edge[ptag], ptag, seq, 0))
@@ -599,7 +622,9 @@ class FastMCDProcessor(MCDProcessor):
                             # its next edge on the heap
                             tie = nextafter(time_ns, _INF)
                             for ptag in pk:
-                                _catch_up(clk, ptag, tie if ptag < tag else time_ns)
+                                stop = tie if ptag < tag else time_ns
+                                if next_edge[ptag] < stop:
+                                    _catch_up(clk, ptag, stop)
                                 seq += 1
                                 heappush(heap, (next_edge[ptag], ptag, seq, 0))
                             del pk[:]
@@ -758,7 +783,9 @@ class FastMCDProcessor(MCDProcessor):
                             # its next edge on the heap
                             tie = nextafter(time_ns, _INF)
                             for ptag in pk:
-                                _catch_up(clk, ptag, tie if ptag < tag else time_ns)
+                                stop = tie if ptag < tag else time_ns
+                                if next_edge[ptag] < stop:
+                                    _catch_up(clk, ptag, stop)
                                 seq += 1
                                 heappush(heap, (next_edge[ptag], ptag, seq, 0))
                             del pk[:]
@@ -910,7 +937,8 @@ class FastMCDProcessor(MCDProcessor):
                                 # up to now for the arithmetic below, which
                                 # reads its next edge, and put that edge on
                                 # the heap
-                                _catch_up(clk, dtag, time_ns)
+                                if next_edge[dtag] < time_ns:
+                                    _catch_up(clk, dtag, time_ns)
                                 pk.remove(dtag)
                                 seq += 1
                                 heappush(heap, (next_edge[dtag], dtag, seq, 0))
@@ -1045,6 +1073,11 @@ class FastMCDProcessor(MCDProcessor):
                     t1 = perf_counter()  # statcheck: disable=DET002 -- profiling only
                     prof_add("latch", t1 - t0)
                 # -- observe ----------------------------------------------
+                if log_left:
+                    log_left -= 1
+                    occ_log.append(occs[1])
+                    occ_log.append(occs[2])
+                    occ_log.append(occs[3])
                 for dtag, denum, ctrl, reg, sched, mon in ctrl_rows:
                     if sched is not None and time_ns < sched._busy_until_ns:
                         # an Act is in progress: observe would only store
@@ -1058,7 +1091,9 @@ class FastMCDProcessor(MCDProcessor):
                             # a relock pause: the parked domain's next edge
                             # does work (gated idle, a wake timer) if it
                             # falls inside it
-                            _catch_up(clk, dtag, nextafter(time_ns, _INF))
+                            tie = nextafter(time_ns, _INF)
+                            if next_edge[dtag] < tie:
+                                _catch_up(clk, dtag, tie)
                             if next_edge[dtag] < pause[dtag]:
                                 pk.remove(dtag)
                                 seq += 1
@@ -1078,7 +1113,9 @@ class FastMCDProcessor(MCDProcessor):
                         if dtag in pk:
                             # its owed edges run at the period and gated
                             # energy that this tick moves
-                            _catch_up(clk, dtag, nextafter(time_ns, _INF))
+                            tie = nextafter(time_ns, _INF)
+                            if next_edge[dtag] < tie:
+                                _catch_up(clk, dtag, tie)
                         # ref: regulator.advance(dt) -- the same floats;
                         # max/min/abs become comparisons (ties give the
                         # same float)
@@ -1136,7 +1173,8 @@ class FastMCDProcessor(MCDProcessor):
                     # domain's energy, which parked clocks owe up to now.
                     tie = nextafter(time_ns, _INF)
                     for ptag in pk:
-                        _catch_up(clk, ptag, tie)
+                        if next_edge[ptag] < tie:
+                            _catch_up(clk, ptag, tie)
                     for denum, dtag in edge_tags:
                         bd[denum] = bg_e[dtag]
                     emit_samples(
@@ -1195,6 +1233,7 @@ class FastMCDProcessor(MCDProcessor):
             self._wake_gen[domain] = wake_gen[tag]
             self._freq_sum[domain] = fsum[tag]
         self._freq_samples = freq_samples
+        self.occupancy_log = occ_log
 
         if prof is not None:
             prof.run_finished(samples=freq_samples)

@@ -6,7 +6,8 @@ The golden suite proves the fast core exact, but it cannot see *how* the
 fast core gets there: a change that stops parking stalled clocks (DESIGN
 §6d) stays bit-identical and only gets slower.  These tests pin the
 mechanisms by counting heap pushes, which the processor keeps in ``_seq``,
-``AdaptiveDvfsController.observe`` calls and computed jitter values.
+``AdaptiveDvfsController.observe`` calls, computed jitter values and
+parked-clock catch-up calls.
 """
 
 from __future__ import annotations
@@ -111,3 +112,35 @@ def test_runs_on_one_seed_compute_each_clock_jitter_once(monkeypatch):
     drawn = sum(sum(counts) for counts in draws.values())
     assert drawn > 3 * longest
     assert sum(computed) <= longest + len(draws) * tapes_module.CHUNK_VALUES
+
+
+def test_every_catch_up_call_replays_an_edge(monkeypatch):
+    # each call site checks that the parked clock owes an edge before its
+    # stop; without the checks a serial sweep_cold grid pass made 52,584
+    # calls for 39,120 replay bursts.  The grid's benchmarks and schemes
+    # reach the bound, completion, dispatch and slew sites; a Transmeta
+    # machine adds the relock-pause site and an observed run the probe one
+    from repro.mcd.domains import transmeta_machine_config
+
+    replays = []
+    real_catch_up = fast_module._catch_up
+
+    def spy_catch_up(clk, tag, stop):
+        replays.append(clk[0][tag] < stop)
+        real_catch_up(clk, tag, stop)
+
+    monkeypatch.setattr(fast_module, "_catch_up", spy_catch_up)
+    runs = [
+        dict(benchmark=bench, scheme=scheme)
+        for bench in ("gsm-decode", "adpcm-encode", "epic-decode", "gzip", "swim", "mcf")
+        for scheme in ("full-speed", "adaptive", "pid", "attack-decay")
+    ]
+    runs.append(dict(benchmark="gzip", scheme="adaptive", machine=transmeta_machine_config()))
+    runs.append(dict(benchmark="mcf", scheme="adaptive", obs=True))
+    for run in runs:
+        run_experiment(
+            max_instructions=1000, seed=1, record_history=False, simcore="fast", **run
+        )
+    bursts = sum(replays)
+    assert bursts > 10_000
+    assert len(replays) == bursts
